@@ -18,6 +18,8 @@ Measured here:
   single-alternation scanner (both the stdlib regex lane and, when
   numpy is importable, the vectorized structural-index lane),
 * **tokenizer** — event iteration alone, both parsers,
+* **verdict** — ``StreamingValidator.validate_text``: the verdict-only
+  turbo route (turbo scanner + DFA tables, no tree) on the same text,
 * **bulk**   — ``validate_files`` through the persistent
   ``ValidationPool`` (warm workers, sharded batches), when cores allow.
 
@@ -25,7 +27,9 @@ Acceptance floors (the ISSUEs' criteria): fused must clear **3x** the
 seed pipeline on the purchase-order and XHTML corpora (1.5x under
 ``REPRO_BENCH_QUICK``); the table-driven turbo lane must clear **2x**
 the object-DFA fused route on both corpora (``ingest:table_driven:*``
-in floors.json); and ``--jobs 4`` must clear **2.5x** ``--jobs 1``
+in floors.json); the verdict-only lane must cost no more than the
+typed turbo build it skips (``validate:stream_vs_turbo:*``,
+``build_over_verdict >= 1.0``); and ``--jobs 4`` must clear **2.5x** ``--jobs 1``
 over a 100-document corpus (``ingest:bulk_scaling``) — the latter only
 on machines with at least four CPUs; elsewhere the timings are still
 recorded but the artifact carries a ``floor_skipped`` marker that
@@ -56,6 +60,7 @@ from repro.schemas import PURCHASE_ORDER_SCHEMA, XHTML_SUBSET_SCHEMA
 from repro.xml.events import Characters, EndElement, StartElement
 from repro.xml.parser import PullParser
 from repro.xml.reference import ReferencePullParser
+from repro.xsd import StreamingValidator
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 REPEATS = 3 if QUICK else 7
@@ -166,6 +171,8 @@ def _measure_corpus(label, schema_text, text):
     index_available = structural.markup_index(text) is not None
     if index_available:
         assert serialize(table_parse(binding, text, lane="index")) == golden
+    validator = StreamingValidator(binding.schema)
+    assert validator.validate_text(text) == []
     actions = [
         lambda: _seed_pipeline(binding, text),
         lambda: legacy_parse(binding, text),
@@ -175,13 +182,14 @@ def _measure_corpus(label, schema_text, text):
         lambda: table_parse(binding, text, lane="stdlib"),
         lambda: _drain(ReferencePullParser, text),
         lambda: _drain(PullParser, text),
+        lambda: validator.validate_text(text),
     ]
     if index_available:
         actions.append(lambda: table_parse(binding, text, lane="index"))
     timings = _best_seconds_interleaved(actions)
     (seed, legacy, fused, fused_object, turbo, turbo_stdlib,
-     reference_scan, fast_scan) = timings[:8]
-    turbo_index = timings[8] if index_available else None
+     reference_scan, fast_scan, verdict) = timings[:9]
+    turbo_index = timings[9] if index_available else None
     result = {
         "document_bytes": len(text),
         "seed_ms": round(seed * 1000, 2),
@@ -201,6 +209,8 @@ def _measure_corpus(label, schema_text, text):
         "fused_vs_legacy": round(legacy / fused, 2),
         "turbo_vs_fused_object": round(fused_object / turbo, 2),
         "turbo_vs_seed": round(seed / turbo, 2),
+        "verdict_ms": round(verdict * 1000, 2),
+        "build_over_verdict": round(turbo / verdict, 2),
         "repeats": REPEATS,
     }
     RESULTS[label] = result
@@ -212,7 +222,9 @@ def _measure_corpus(label, schema_text, text):
         f"(stdlib {result['turbo_stdlib_ms']}ms, "
         f"index {result['turbo_index_ms']}ms) "
         f"-> {result['turbo_vs_fused_object']}x vs object-DFA fused, "
-        f"{result['turbo_vs_seed']}x vs seed"
+        f"{result['turbo_vs_seed']}x vs seed\n"
+        f"{label}: verdict {result['verdict_ms']}ms "
+        f"-> typed build / verdict {result['build_over_verdict']}x"
     )
     return result
 
@@ -230,6 +242,7 @@ def test_purchase_order_ingest(capsys):
         f"{result['turbo_vs_fused_object']:.2f}x the object-DFA fused "
         f"route (need >= {TABLE_FLOOR}x)"
     )
+    _assert_verdict_floor(result, "validate:stream_vs_turbo:po")
 
 
 def test_xhtml_ingest(capsys):
@@ -244,6 +257,18 @@ def test_xhtml_ingest(capsys):
         f"table-driven ingest is only "
         f"{result['turbo_vs_fused_object']:.2f}x the object-DFA fused "
         f"route (need >= {TABLE_FLOOR}x)"
+    )
+    _assert_verdict_floor(result, "validate:stream_vs_turbo:xhtml")
+
+
+def _assert_verdict_floor(result, name):
+    """Validate-only must not cost more than the typed build (PR 12)."""
+    floor = bench_floor(name, QUICK)
+    assert result["build_over_verdict"] >= floor, (
+        f"validate-only costs {result['verdict_ms']}ms, more than the "
+        f"typed build at {result['turbo_ms']}ms "
+        f"(build/verdict {result['build_over_verdict']:.2f}x, "
+        f"need >= {floor}x)"
     )
 
 
