@@ -134,6 +134,16 @@ class ReproCache:
     def __len__(self) -> int:
         return len(self.store)
 
+    @property
+    def compact_artifacts(self) -> bool:
+        """Whether pickled artifacts are compacted before they are stored.
+
+        Derived from the tier, not settable: only payloads that can reach
+        the directory tier pay the ``pickletools.optimize`` pass (see
+        :mod:`repro.cache.artifacts`).
+        """
+        return self.directory is not None
+
     def __repr__(self) -> str:
         where = self.directory or "<memory>"
         return f"ReproCache({where!r}, {self.stats.hits}h/{self.stats.misses}m)"
@@ -237,7 +247,13 @@ class ReproCache:
         # carries it and warm starts skip that work too.
         binding = Binding(schema, model, validate_on_mutate=validate_on_mutate)
         binding.cache_fingerprint = key
-        self.put_bytes("binding", key, artifacts.dump_binding(schema, model))
+        self.put_bytes(
+            "binding",
+            key,
+            artifacts.dump_binding(
+                schema, model, compact=self.compact_artifacts
+            ),
+        )
         self._remember_binding(key, validate_on_mutate, binding)
         obs.count("cache.bind.outcome", outcome="compiled")
         return binding
@@ -272,7 +288,11 @@ class ReproCache:
                     return schema
                 self.invalidate(key)
         schema = parse_schema(schema_text, location=location)
-        self.put_bytes("schema", key, artifacts.dump_schema(schema))
+        self.put_bytes(
+            "schema",
+            key,
+            artifacts.dump_schema(schema, compact=self.compact_artifacts),
+        )
         return schema
 
     # -- text artifacts (server pages, generated modules, IDL) ------------------

@@ -39,12 +39,19 @@ def compile_template(
     it returns the constructed root element (a typed V-DOM object).
     """
     source = compile_template_source(checked, function_name)
+    return source, load_render(source, checked.holes, function_name)
+
+
+def load_render(
+    source: str, hole_specs: dict[str, Any], function_name: str = "render"
+) -> Callable[..., Any]:
+    """Compile generated DOM-render *source* against *hole_specs*."""
     namespace: dict[str, Any] = {
         "_lex": lexicalize,
-        "_hole_specs": checked.holes,
+        "_hole_specs": hole_specs,
     }
     exec(compile(source, f"<pxml:{function_name}>", "exec"), namespace)
-    return source, namespace[function_name]
+    return namespace[function_name]
 
 
 def compile_text_template(

@@ -7,7 +7,11 @@ from typing import Any, Callable
 from repro import obs
 from repro.core.vdom import Binding, TypedElement
 from repro.pxml.checker import CheckedTemplate, check_template
-from repro.pxml.compiler import compile_template, compile_text_template
+from repro.pxml.compiler import (
+    compile_template_source,
+    compile_text_template,
+    load_render,
+)
 from repro.pxml.parser import parse_template
 from repro.pxml.runtime import render_interpreted, render_text_interpreted
 
@@ -27,6 +31,10 @@ class Template:
 
     Checking happens in ``__init__`` — the paper's "compile time".  A
     ``Template`` that exists can only render schema-valid fragments.
+    The DOM render function's source is generated there too, but it is
+    only compiled by the first :meth:`render` call: the segment route
+    (:meth:`render_text`) never needs it, and for a 150-item page the
+    compile alone takes ~5 ms.
 
     With a :class:`repro.cache.ReproCache` (and a binding produced by a
     cached :func:`repro.bind`), the checked + compiled form is reused
@@ -48,6 +56,7 @@ class Template:
         self.binding = binding
         self.source = source
         self.checked: CheckedTemplate | None = None
+        #: built from ``generated_source`` by the first ``render()``
         self._render: Callable[..., TypedElement] | None = None
         self._render_text: Callable[..., str] | None = None
         self.generated_source: str | None = None
@@ -65,7 +74,7 @@ class Template:
         self._hole_names = self.checked.hole_names()
         self._hole_specs = self.checked.holes
         if compiled:
-            self.generated_source, self._render = compile_template(self.checked)
+            self.generated_source = compile_template_source(self.checked)
             self._segments, self.text_source, self._render_text = (
                 compile_text_template(self.checked)
             )
@@ -103,7 +112,6 @@ class Template:
 
     def _load_cached(self, cache: Any, key: str) -> bool:
         from repro.cache.artifacts import ArtifactError, load_template
-        from repro.core.vdom import lexicalize
 
         payload = cache.get_bytes("template", key)
         if payload is None:
@@ -119,14 +127,6 @@ class Template:
         self.generated_source = record["generated_source"]
         self._hole_names = sorted(record["holes"])
         self._hole_specs = record["holes"]
-        namespace: dict[str, Any] = {
-            "_lex": lexicalize,
-            "_hole_specs": record["holes"],
-        }
-        exec(
-            compile(self.generated_source, "<pxml:render>", "exec"), namespace
-        )
-        self._render = namespace["render"]
         self._segments = record.get("program")
         self.text_source = record.get("text_source")
         if self._segments is not None and self.text_source is not None:
@@ -152,6 +152,7 @@ class Template:
                 self.checked.holes,
                 text_source=self.text_source,
                 segment_program=self._segments,
+                compact=cache.compact_artifacts,
             )
         except ArtifactError:
             return
@@ -189,8 +190,15 @@ class Template:
 
     def render(self, **values: Any) -> TypedElement:
         """Instantiate the template; returns a typed (valid) element."""
-        if self._render is not None:
-            return self._render(self.binding.factory, **values)
+        if self.generated_source is not None:
+            render = self._render
+            if render is None:
+                # Compiled on first use; two threads racing here compile
+                # the same source twice, and either function is correct.
+                render = self._render = load_render(
+                    self.generated_source, self._hole_specs
+                )
+            return render(self.binding.factory, **values)
         assert self.checked is not None
         return render_interpreted(self.checked, **values)
 
@@ -242,7 +250,7 @@ class Template:
         return self.binding.document(self.render(**values))
 
     def __repr__(self) -> str:
-        mode = "compiled" if self._render is not None else "interpreted"
+        mode = "compiled" if self.generated_source is not None else "interpreted"
         return (
             f"Template(<{self._root_name}>, holes={self.hole_names}, {mode})"
         )

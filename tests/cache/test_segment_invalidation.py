@@ -148,6 +148,7 @@ class TestCorruptionRecovery:
             {},
             text_source=template.text_source,
             segment_program=template._segments,
+            compact=cache.compact_artifacts,
         )
         # Loading against a binding from a different schema: the run
         # owners don't resolve, and the loader refuses the fast path.
