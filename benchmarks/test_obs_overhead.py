@@ -124,7 +124,7 @@ def test_render_floor_holds_with_obs_disabled(capsys):
     """The PR 2 criterion, re-run with instrumentation present."""
     binding = bind(PURCHASE_ORDER_SCHEMA)
     template = Template(binding, PO_TEMPLATE)
-    assert template.text_source is not None
+    assert template._segments is not None
 
     def text_route():
         for _ in range(RENDERS):

@@ -116,7 +116,7 @@ def test_transform_text_throughput(capsys):
         template=OPTION_TEMPLATE,
         hole="name",
     )
-    assert transform.template.text_source is not None, (
+    assert transform.template._segments is not None, (
         "template must segment-compile"
     )
     # Correctness precedes speed: both routes must emit identical bytes

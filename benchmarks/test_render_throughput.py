@@ -15,9 +15,10 @@ Acceptance floor (the ISSUE's criterion): ``render_text`` must clear
 **3x** the DOM route's renders/sec on the purchase-order benchmark
 template (1.5x in ``REPRO_BENCH_QUICK`` mode, where noisy CI runners
 and tiny iteration counts make the full floor flaky).  The XHTML mixed
-template and an element-hole variant are measured and recorded without
-a floor — element holes share the subtree serialization cost between
-both routes, so their speedup is structurally smaller.
+template, an element-hole variant and the served 150-item page are
+measured and recorded without a floor — element holes share the subtree
+serialization cost between both routes, so their speedup is
+structurally smaller.
 
 Environment knobs (used by the CI smoke job):
 
@@ -93,6 +94,26 @@ PO_VALUES = {
     "p2": "Baby Monitor",
 }
 
+#: the served 150-item page (450 text holes: attribute, integer and
+#: decimal content per item); recorded without a floor
+HEAVY_ITEMS = 150
+HEAVY_TEMPLATE = "<items>{}</items>".format(
+    "".join(
+        f'<item partNum="$p{i}$"><productName>Widget {i}</productName>'
+        f"<quantity>$q{i}$</quantity><USPrice>$u{i}$</USPrice></item>"
+        for i in range(HEAVY_ITEMS)
+    )
+)
+HEAVY_VALUES = {
+    name: value
+    for i in range(HEAVY_ITEMS)
+    for name, value in (
+        (f"p{i}", f"{100 + i}-AB"),
+        (f"q{i}", str(1 + i % 99)),
+        (f"u{i}", f"{i}.{i % 100:02d}"),
+    )
+}
+
 XHTML_TEMPLATE = (
     "<p>last updated: <b>$when:text$</b> by <i>$who:text$</i>"
     " — see $link:a$ for details</p>"
@@ -142,7 +163,7 @@ def test_purchase_order_throughput(capsys):
     """The headline number: render_text vs render+serialize, with floor."""
     binding = bind(PURCHASE_ORDER_SCHEMA)
     template = Template(binding, PO_TEMPLATE)
-    assert template.text_source is not None, "template must segment-compile"
+    assert template._segments is not None, "template must segment-compile"
     # Correctness precedes speed: both routes must emit identical bytes.
     assert template.render_text(**PO_VALUES) == serialize(
         template.render(**PO_VALUES)
@@ -225,3 +246,36 @@ def test_xhtml_mixed_throughput(capsys):
         f"speedup {result['speedup']:.2f}x"
     )
     assert result["speedup"] >= 1.0
+
+
+def test_heavy_page_throughput(capsys):
+    """The served 150-item page, recorded for the ledger (no floor)."""
+    binding = bind(PURCHASE_ORDER_SCHEMA)
+    template = Template(binding, HEAVY_TEMPLATE)
+    assert template._segments is not None, "template must segment-compile"
+    assert template.render_text(**HEAVY_VALUES) == serialize(
+        template.render(**HEAVY_VALUES)
+    )
+    renders = max(RENDERS // 100, 3)
+    dom_rps = _renders_per_second(
+        lambda: serialize(template.render(**HEAVY_VALUES)), renders
+    )
+    text_rps = _renders_per_second(
+        lambda: template.render_text(**HEAVY_VALUES), renders
+    )
+    result = {
+        "dom_renders_per_sec": round(dom_rps, 1),
+        "text_renders_per_sec": round(text_rps, 1),
+        "text_ms_per_render": round(1000.0 / text_rps, 3),
+        "speedup": round(text_rps / dom_rps, 2),
+        "renders": renders,
+        "repeats": REPEATS,
+        "output_bytes": len(template.render_text(**HEAVY_VALUES)),
+    }
+    RESULTS["purchase_order:heavy_150"] = result
+    print(
+        f"\nheavy_150: dom {result['dom_renders_per_sec']:.0f}/s  "
+        f"text {result['text_renders_per_sec']:.0f}/s  "
+        f"({result['text_ms_per_render']:.2f} ms)  "
+        f"speedup {result['speedup']:.2f}x"
+    )

@@ -56,19 +56,28 @@ def main() -> None:
         print(fast)
         print()
 
-    # The generated direct-to-text function is a reviewable artifact:
+    # The segment program is the reviewable artifact: render_text
+    # interprets it directly, with no generated code.
     binding = bind(PURCHASE_ORDER_SCHEMA)
     template = Template(
         binding,
-        '<item partNum="999-ZZ"><productName>$p$</productName>'
+        '<item partNum="$pn$"><productName>$p$</productName>'
         "<quantity>1</quantity><USPrice>9.99</USPrice></item>",
     )
-    print("generated render_text source:")
-    print(template.text_source)
+    program = template._segments
+    print(f"segment program ({program.static_ratio():.0%} static):")
+    for segment in program.segments:
+        if isinstance(segment, str):
+            print(f"  static  {segment!r}")
+        else:
+            holes = [name for kind, name in segment.parts if kind == "hole"]
+            checked = "checked" if segment.checker is not None else "unchecked"
+            print(f"  dynamic {segment.escape} run of {holes} ({checked})")
+    print()
 
     # Validation still happens — at the holes, where it is still needed:
     try:
-        template.render_text(p=object())
+        template.render_text(pn="999-ZZ", p=object())
     except VdomTypeError as error:
         print(f"rejected: {error}")
 

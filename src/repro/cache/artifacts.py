@@ -9,9 +9,10 @@ Three artifact families:
   the DFA cache) stays consistent after a load.  The class objects
   themselves are *not* pickled — ``Binding`` re-materializes them from
   the model, which is cheap next to parsing and generation.
-* **template** — the P-XML compiler's generated source plus the hole
-  specification reduced to interface keys; rehydrated against the live
-  binding without re-running the static checker.
+* **template** — the P-XML compiler's generated DOM-render source, the
+  hole specification and the segment program, with classes reduced to
+  interface keys; rehydrated against the live binding without
+  re-running the static checker or compiling any code.
 * **text** — plain UTF-8 strings (translated server pages, rendered
   IDL, generated Python modules).
 
@@ -157,7 +158,6 @@ def dump_template(
     generated_source: str,
     root_name: str,
     holes: dict[str, Any],
-    text_source: str | None = None,
     segment_program: Any = None,
     *,
     compact: bool,
@@ -166,9 +166,9 @@ def dump_template(
 
     Hole specs (and segment-run owners) reference generated classes,
     which cannot be pickled; they are stored as interface keys and
-    resolved against the live binding on load.  ``text_source`` and
-    ``segment_program`` carry the render-to-text fast path; both are
-    optional so templates the segment compiler declined still cache.
+    resolved against the live binding on load.  ``segment_program``
+    carries the render-to-text fast path; it is optional so templates
+    the segment compiler declined still cache.
     ``compact`` is the cache's ``compact_artifacts`` (the tier rule in
     the module docstring).
     """
@@ -188,11 +188,10 @@ def dump_template(
         "generated_source": generated_source,
         "holes": hole_table,
     }
-    if text_source is not None and segment_program is not None:
+    if segment_program is not None:
         from repro.pxml.segments import program_to_record
 
         try:
-            record["text_source"] = text_source
             record["segments"] = program_to_record(segment_program, binding)
         except LookupError as error:
             raise ArtifactError(f"unpicklable segment program: {error}")
@@ -200,12 +199,12 @@ def dump_template(
 
 
 def load_template(payload: bytes, binding: "Binding") -> dict[str, Any]:
-    """Rehydrate ``{root, generated_source, holes, text_source, program}``.
+    """Rehydrate ``{root, generated_source, holes, program}``.
 
     The returned ``holes`` map contains live ``HoleSpec`` objects whose
     classes come from the *current* binding; ``program`` (a rebuilt
-    ``SegmentProgram``) and ``text_source`` are ``None`` when the cached
-    template predates or declined segment compilation.
+    ``SegmentProgram``) is ``None`` when the template declined segment
+    compilation.
     """
     from repro.pxml.checker import HoleSpec
 
@@ -220,8 +219,7 @@ def load_template(payload: bytes, binding: "Binding") -> dict[str, Any]:
             raise ArtifactError(f"stale template artifact: {error}")
         holes[name] = HoleSpec(name=name, kind=entry["kind"], classes=classes)
     program = None
-    text_source = record.get("text_source")
-    if text_source is not None and record.get("segments") is not None:
+    if record.get("segments") is not None:
         from repro.pxml.segments import program_from_record
 
         try:
@@ -232,7 +230,6 @@ def load_template(payload: bytes, binding: "Binding") -> dict[str, Any]:
         "root": record["root"],
         "generated_source": record["generated_source"],
         "holes": holes,
-        "text_source": text_source,
         "program": program,
     }
 

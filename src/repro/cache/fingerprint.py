@@ -16,8 +16,8 @@ import sys
 from typing import Any
 
 #: Bump whenever the pickled artifact layout changes incompatibly.
-#: 2: template records gained ``text_source`` + ``segments`` (the
-#: render-to-text fast path).
+#: 2: template records gained the generated render-to-text source and
+#: ``segments`` (the render-to-text fast path).
 #: 3: ``Location`` and the parse events grew ``__slots__``;
 #: ``ComplexType`` gained the attribute-use memo field.
 #: 4: bindings ship prewarmed flat DFA transition tables
@@ -26,7 +26,9 @@ from typing import Any
 #: (Clark) names, declarations carry ``target_namespace``, schemas
 #: record ``related_documents`` (include/import manifest) and
 #: ``subset_roots`` (lazy per-subset binding artifacts).
-CACHE_FORMAT_VERSION = 5
+#: 6: template records dropped the render-to-text source: the segment
+#: program is interpreted, so no such source is stored or compiled.
+CACHE_FORMAT_VERSION = 6
 
 
 def _library_version() -> str:

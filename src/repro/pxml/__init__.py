@@ -11,6 +11,9 @@ Fig. 9:
   schema, typing every hole (the generated preprocessor's job),
 * :mod:`repro.pxml.compiler` replaces the constructor by V-DOM factory
   calls — the Fig. 11 output — and compiles them to a render function,
+* :mod:`repro.pxml.segments` partitions a checked template into static
+  markup and typed slots, and renders straight to text by interpreting
+  that segment program (no generated code),
 * :mod:`repro.pxml.runtime` is the interpreted alternative (ablation),
 * :mod:`repro.pxml.preprocessor` rewrites whole Python modules,
   replacing ``pxml("...")`` call sites by generated builder functions.
@@ -22,7 +25,7 @@ parsed by the simple type of their position at render time.
 
 from repro.pxml.parser import parse_template
 from repro.pxml.checker import CheckedTemplate, check_template
-from repro.pxml.compiler import compile_template, compile_text_template
+from repro.pxml.compiler import compile_template
 from repro.pxml.segments import SegmentProgram, compile_segments
 from repro.pxml.template import Template
 from repro.pxml.runtime import render_interpreted, render_text_interpreted
@@ -35,7 +38,6 @@ __all__ = [
     "check_template",
     "compile_segments",
     "compile_template",
-    "compile_text_template",
     "parse_template",
     "preprocess_module",
     "render_interpreted",

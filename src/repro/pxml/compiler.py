@@ -7,6 +7,10 @@ Python function whose body is nested ``factory.create_*`` calls, hole
 variables appearing as function parameters.  Compiling the source once
 yields a render callable; the source itself is the reviewable artifact
 (benchmarks compare it against the interpreted renderer).
+
+Only the DOM route (``Template.render``) runs generated code.  The text
+route (``render_text``/``stream_text``) interprets the segment program
+of :mod:`repro.pxml.segments` and generates and compiles nothing.
 """
 
 from __future__ import annotations
@@ -21,13 +25,6 @@ from repro.pxml.ast import (
     TemplateText,
 )
 from repro.pxml.checker import CheckedTemplate
-from repro.pxml.segments import (
-    ElementHole,
-    Run,
-    SegmentProgram,
-    build_text_namespace,
-    compile_segments,
-)
 
 
 def compile_template(
@@ -52,89 +49,6 @@ def load_render(
     }
     exec(compile(source, f"<pxml:{function_name}>", "exec"), namespace)
     return namespace[function_name]
-
-
-def compile_text_template(
-    checked: CheckedTemplate, function_name: str = "render_text"
-) -> tuple[SegmentProgram, str, Callable[..., str]] | tuple[None, None, None]:
-    """Segment-compile *checked* to a direct-to-text render function.
-
-    Returns ``(program, source, callable)``; the callable's signature is
-    ``render_text(*, hole1, hole2, ...)`` and it returns the serialized
-    markup string — identical bytes to ``serialize(render(...))`` — with
-    no ``TypedElement`` tree in between.  Returns ``(None, None, None)``
-    when the template's shape is not segment-compilable (the caller
-    keeps the DOM route).
-    """
-    program = compile_segments(checked)
-    if program is None:
-        return None, None, None
-    source, render_text = compile_text_source(
-        program, checked.binding, function_name
-    )
-    return program, source, render_text
-
-
-def compile_text_source(
-    program: SegmentProgram,
-    binding: Any,
-    function_name: str = "render_text",
-) -> tuple[str, Callable[..., str]]:
-    """Generate and compile the text-render source for *program*."""
-    source = emit_text_source(program, function_name)
-    namespace = build_text_namespace(program, binding)
-    exec(compile(source, f"<pxml:{function_name}>", "exec"), namespace)
-    return source, namespace[function_name]
-
-
-def emit_text_source(
-    program: SegmentProgram, function_name: str = "render_text"
-) -> str:
-    """Just the generated text-render source (reviewable artifact)."""
-    holes = program.hole_names
-    signature = f"def {function_name}("
-    if holes:
-        signature += "*, " + ", ".join(holes)
-    signature += "):"
-    lines = [signature]
-    for name in program.element_hole_names:
-        lines.append(f"    _hole_specs[{name!r}].accepts({name})")
-    segments = program.segments
-    if len(segments) == 1 and type(segments[0]) is str:
-        lines.append(f"    return {segments[0]!r}")
-        return "\n".join(lines) + "\n"
-    if any(
-        type(segment) is Run and segment.checker is not None
-        for segment in segments
-    ):
-        lines.append("    _check = _b.validate_on_mutate")
-    lines.append("    _p = []")
-    lines.append("    _a = _p.append")
-    for index, segment in enumerate(segments):
-        if type(segment) is str:
-            lines.append(f"    _a({segment!r})")
-        elif type(segment) is ElementHole:
-            lines.append(f"    _w({segment.name}, _p)")
-        else:
-            escape = "_esc_t" if segment.escape == "text" else "_esc_a"
-            expression = _run_expression(segment)
-            if segment.checker is not None:
-                lines.append(f"    _v{index} = {expression}")
-                lines.append("    if _check:")
-                lines.append(f"        _ck{index}(_v{index})")
-                lines.append(f"    _a({escape}(_v{index}))")
-            else:
-                lines.append(f"    _a({escape}({expression}))")
-    lines.append("    return ''.join(_p)")
-    return "\n".join(lines) + "\n"
-
-
-def _run_expression(run: Run) -> str:
-    pieces = [
-        repr(payload) if kind == "lit" else f"_lex({payload})"
-        for kind, payload in run.parts
-    ]
-    return " + ".join(pieces) if pieces else "''"
 
 
 def compile_template_source(

@@ -44,7 +44,7 @@ _UNCOMPILED = object()  # sentinel: segments not attempted yet for a template
 
 
 def render_text_interpreted(checked: CheckedTemplate, **values: Any) -> str:
-    """Interpreted twin of the segment-compiled ``render_text``.
+    """``render_text`` for templates built with ``compiled=False``.
 
     Lazily partitions the checked AST into a :class:`SegmentProgram`
     (memoized on *checked*) and renders it directly to text; templates
@@ -66,7 +66,7 @@ def render_text_interpreted(checked: CheckedTemplate, **values: Any) -> str:
 
         return serialize(_build_element(checked, checked.root, values))
     obs.count("render.route", route="segment")
-    return program.render(values, checked.binding.validate_on_mutate)
+    return program.render(values)
 
 
 def _build_element(

@@ -15,6 +15,10 @@ into three kinds of segments:
   serialized through :func:`repro.dom.serialize.write_node` (valid by
   the V-DOM invariant, so no re-validation).
 
+A :class:`SegmentProgram` renders itself by interpreting that list:
+no source is generated or compiled, neither when the program is built
+nor when it is rehydrated from the cache.
+
 ``compile_segments`` returns ``None`` whenever any construct falls
 outside what the partitioner proves equivalent to the DOM route
 (anyType oddities, element-level fixed values); callers then fall back
@@ -104,9 +108,14 @@ def _make_checker(
 
 
 class Run:
-    """One dynamic character-data slot with its validation closure."""
+    """One dynamic character-data slot with its validation closures.
 
-    __slots__ = ("parts", "escape", "owner", "slot", "checker")
+    ``validate`` accepts what ``checker`` accepts, one call cheaper: the
+    bare ``SimpleType.parse`` unless a fixed value applies, so on its
+    ``SimpleTypeError`` the caller runs ``checker`` for the real error.
+    """
+
+    __slots__ = ("parts", "escape", "owner", "slot", "checker", "validate")
 
     def __init__(
         self, parts: tuple[RunPart, ...], escape: str, owner: type, slot: Any
@@ -115,25 +124,19 @@ class Run:
         self.escape = escape  # 'text' | 'attr'
         self.owner = owner
         self.slot = slot
-        self.checker = _make_checker(*_resolve_slot(owner, slot))
-
-    def value(self, values: dict[str, Any]) -> str:
-        parts = self.parts
-        if len(parts) == 1:
-            kind, payload = parts[0]
-            return payload if kind == "lit" else lexicalize(values[payload])
-        return "".join(
-            payload if kind == "lit" else lexicalize(values[payload])
-            for kind, payload in parts
+        simple_type, fixed, context = _resolve_slot(owner, slot)
+        self.checker = _make_checker(simple_type, fixed, context)
+        self.validate = (
+            simple_type.parse
+            if simple_type is not None and fixed is None
+            else self.checker
         )
 
-    def emit(self, values: dict[str, Any], check: bool) -> str:
-        literal = self.value(values)
-        if check and self.checker is not None:
-            self.checker(literal)
-        if self.escape == "text":
-            return escape_text(literal)
-        return escape_attribute(literal)
+    def value(self, values: dict[str, Any]) -> str:
+        return "".join(
+            payload if kind == "lit" else lexicalize(values[payload])
+            for kind, payload in self.parts
+        )
 
 
 class ElementHole:
@@ -146,15 +149,27 @@ class ElementHole:
 
 
 class SegmentProgram:
-    """The compiled segment list plus the hole registry."""
+    """The compiled segment list, the hole registry, and its renderers.
 
-    __slots__ = ("segments", "hole_specs")
+    ``render(values)`` returns the markup string and ``fill(values)``
+    the same markup as an unjoined piece list; *values* maps every hole
+    name to its value.  Both are closures built here, once per program
+    (at segment compilation or cache rehydration), that interpret the
+    segments directly — no source is generated or compiled.
+
+    ``fill`` returns only after every hole value passed its checks, so
+    a caller can stream the pieces to a socket one by one without a
+    validation failure arriving after bytes have left.
+    """
+
+    __slots__ = ("segments", "hole_specs", "render", "fill")
 
     def __init__(
-        self, segments: list[Any], hole_specs: dict[str, HoleSpec]
+        self, segments: list[Any], hole_specs: dict[str, HoleSpec], binding
     ):
         self.segments = segments
         self.hole_specs = hole_specs
+        self.render, self.fill = _interpreter(segments, hole_specs, binding)
 
     @property
     def hole_names(self) -> list[str]:
@@ -168,38 +183,136 @@ class SegmentProgram:
             if spec.kind == "element"
         )
 
-    def fill(self, values: dict[str, Any], check: bool) -> list[str]:
-        """Evaluate every dynamic segment; return the complete piece list.
-
-        Static segments appear by reference (no copy), runs are emitted
-        (validated when *check*), element holes are serialized through
-        the iterative fast path.  The list exists only if every hole
-        value passed — which is what lets a caller stream pieces to a
-        socket one by one without risking a validation failure after
-        bytes have already left: ``"".join(fill(...))`` is exactly
-        ``render(...)``, and any error raises before the first piece is
-        handed out.
-        """
-        pieces: list[str] = []
-        for segment in self.segments:
-            if type(segment) is str:
-                pieces.append(segment)
-            elif type(segment) is ElementHole:
-                write_node(values[segment.name], pieces)
-            else:
-                pieces.append(segment.emit(values, check))
-        return pieces
-
-    def render(self, values: dict[str, Any], check: bool) -> str:
-        """Interpreted twin of the generated ``render_text`` function."""
-        return "".join(self.fill(values, check))
-
     def static_ratio(self) -> float:
         """Fraction of segments precomputed (for stats/inspection)."""
         if not self.segments:
             return 1.0
         static = sum(1 for s in self.segments if type(s) is str)
         return static / len(self.segments)
+
+
+def _hole_error(hole_names: list[str], values: dict[str, Any]) -> TypeError:
+    """What calling ``render_text(*, <hole_names>)`` with *values* raises.
+
+    Worded exactly as CPython words it for a keyword-only signature, so
+    callers that map ``TypeError`` to a client error see no change.
+    """
+    for name in values:
+        if name not in hole_names:
+            return TypeError(
+                f"render_text() got an unexpected keyword argument '{name}'"
+            )
+    missing = [f"'{name}'" for name in hole_names if name not in values]
+    listed = " and ".join(missing[-2:])
+    if len(missing) > 2:
+        listed = ", ".join(missing[:-1]) + ", and " + missing[-1]
+    plural = "argument" if len(missing) == 1 else "arguments"
+    return TypeError(
+        f"render_text() missing {len(missing)} required keyword-only "
+        f"{plural}: {listed}"
+    )
+
+
+_ESCAPES = {"text": escape_text, "attr": escape_attribute}
+
+
+def _interpreter(
+    segments: list[Any], hole_specs: dict[str, HoleSpec], binding
+) -> tuple[Callable[..., str], Callable[..., list[str]]]:
+    """Build the ``(render, fill)`` closures for one segment program.
+
+    Every call checks the hole names, runs ``HoleSpec.accepts`` on the
+    element holes, then evaluates the runs in document order — each
+    validated by its checker while ``binding.validate_on_mutate`` is
+    set — and serializes the element holes.  Static segments sit in a
+    prebuilt frame; a call copies it and writes its dynamic slots in,
+    so ``fill`` hands static markup out by reference.
+    """
+    names = frozenset(hole_specs)
+    hole_names = sorted(names)
+    element_checks = tuple(
+        (name, hole_specs[name].accepts)
+        for name in hole_names
+        if hole_specs[name].kind == "element"
+    )
+    frame: list[str] = []
+    # (frame position, the hole of a one-hole run else None, validate,
+    #  escape function, checker); multi-part runs by frame position
+    runs: list[tuple[int, str | None, Any, Callable[[str], str], Any]] = []
+    composite: dict[int, Run] = {}
+    element_slots: list[tuple[int, str]] = []
+    for segment in segments:
+        if type(segment) is str:
+            frame.append(segment)
+            continue
+        if type(segment) is ElementHole:
+            element_slots.append((len(frame), segment.name))
+        else:
+            parts = segment.parts
+            single = parts[0][1] if len(parts) == 1 else None
+            if single is None:
+                composite[len(frame)] = segment
+            escape = _ESCAPES[segment.escape]
+            runs.append((len(frame), single, segment.validate, escape, segment.checker))
+        frame.append("")
+
+    def interpreter(join: bool):
+        def run_program(values: dict[str, Any]):
+            if values.keys() != names:
+                raise _hole_error(hole_names, values)
+            if element_checks:
+                for name, accepts in element_checks:
+                    accepts(values[name])
+            check = binding.validate_on_mutate
+            pieces = frame.copy()
+            for position, name, validate, escape, checker in runs:
+                if name is None:
+                    literal = composite[position].value(values)
+                else:
+                    literal = values[name]
+                    if type(literal) is not str:
+                        literal = lexicalize(literal)
+                if check and validate is not None:
+                    try:
+                        validate(literal)
+                    except SimpleTypeError:
+                        checker(literal)  # raises it with its context
+                        raise
+                pieces[position] = escape(literal)
+            if element_slots:
+                for position, name in element_slots:
+                    out: list[str] = []
+                    write_node(values[name], out)
+                    pieces[position] = "".join(out)
+            return "".join(pieces) if join else pieces
+
+        return run_program
+
+    fill = interpreter(join=False)
+    if len(runs) == 1 and not element_slots and runs[0][1] is not None:
+        # One text or attribute hole: the shape of transform rule
+        # templates, rendered once per query hit.
+        position, name, validate, escape, checker = runs[0]
+        before = "".join(frame[:position])
+        after = "".join(frame[position + 1 :])
+
+        def render(values: dict[str, Any]) -> str:
+            if len(values) != 1 or name not in values:
+                raise _hole_error(hole_names, values)
+            literal = values[name]
+            if type(literal) is not str:
+                literal = lexicalize(literal)
+            if validate is not None and binding.validate_on_mutate:
+                try:
+                    validate(literal)
+                except SimpleTypeError:
+                    checker(literal)  # raises it with its context
+                    raise
+            return before + escape(literal) + after
+
+    else:
+        render = interpreter(join=True)
+    return render, fill
 
 
 def compile_segments(checked: CheckedTemplate) -> SegmentProgram | None:
@@ -223,7 +336,9 @@ def compile_segments(checked: CheckedTemplate) -> SegmentProgram | None:
         )
         return None
     obs.count("pxml.segments", outcome="compiled")
-    return SegmentProgram(builder.finish(), dict(checked.holes))
+    return SegmentProgram(
+        builder.finish(), dict(checked.holes), checked.binding
+    )
 
 
 class _SegmentBuilder:
@@ -422,20 +537,4 @@ def program_from_record(
             segments.append(Run(tuple(map(tuple, parts)), escape, owner, slot))
         else:
             raise LookupError(f"unknown segment record tag {tag!r}")
-    return SegmentProgram(segments, hole_specs)
-
-
-def build_text_namespace(program: SegmentProgram, binding) -> dict[str, Any]:
-    """Execution namespace for generated ``render_text`` source."""
-    namespace: dict[str, Any] = {
-        "_lex": lexicalize,
-        "_esc_t": escape_text,
-        "_esc_a": escape_attribute,
-        "_w": write_node,
-        "_b": binding,
-        "_hole_specs": program.hole_specs,
-    }
-    for index, segment in enumerate(program.segments):
-        if type(segment) is Run and segment.checker is not None:
-            namespace[f"_ck{index}"] = segment.checker
-    return namespace
+    return SegmentProgram(segments, hole_specs, binding)

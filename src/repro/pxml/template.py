@@ -7,13 +7,10 @@ from typing import Any, Callable
 from repro import obs
 from repro.core.vdom import Binding, TypedElement
 from repro.pxml.checker import CheckedTemplate, check_template
-from repro.pxml.compiler import (
-    compile_template_source,
-    compile_text_template,
-    load_render,
-)
+from repro.pxml.compiler import compile_template_source, load_render
 from repro.pxml.parser import parse_template
 from repro.pxml.runtime import render_interpreted, render_text_interpreted
+from repro.pxml.segments import SegmentProgram, compile_segments
 
 
 class Template:
@@ -31,15 +28,15 @@ class Template:
 
     Checking happens in ``__init__`` — the paper's "compile time".  A
     ``Template`` that exists can only render schema-valid fragments.
-    The DOM render function's source is generated there too, but it is
-    only compiled by the first :meth:`render` call: the segment route
-    (:meth:`render_text`) never needs it, and for a 150-item page the
-    compile alone takes ~5 ms.
+    :meth:`render_text` and :meth:`stream_text` interpret the segment
+    program built there and run no generated code.  The DOM render
+    function's source is generated there too, but it is only compiled by
+    the first :meth:`render` call (~5 ms for a 150-item page).
 
     With a :class:`repro.cache.ReproCache` (and a binding produced by a
     cached :func:`repro.bind`), the checked + compiled form is reused
     across processes: a warm start skips parsing, the static check, and
-    code generation, going straight to the generated render function.
+    code generation, rebuilding the segment program from its record.
     The guarantee is preserved — the cached artifact exists only because
     the checker accepted exactly this source against exactly this
     schema, and both are part of the cache key.
@@ -58,10 +55,8 @@ class Template:
         self.checked: CheckedTemplate | None = None
         #: built from ``generated_source`` by the first ``render()``
         self._render: Callable[..., TypedElement] | None = None
-        self._render_text: Callable[..., str] | None = None
         self.generated_source: str | None = None
-        self.text_source: str | None = None
-        self._segments = None
+        self._segments: SegmentProgram | None = None
         self._hole_names: list[str] = []
         self._hole_specs: dict[str, Any] = {}
         self._root_name: str | None = None
@@ -75,9 +70,7 @@ class Template:
         self._hole_specs = self.checked.holes
         if compiled:
             self.generated_source = compile_template_source(self.checked)
-            self._segments, self.text_source, self._render_text = (
-                compile_text_template(self.checked)
-            )
+            self._segments = compile_segments(self.checked)
             # Seed the interpreted twin's memo so a mixed usage pattern
             # never re-partitions the same checked AST.
             self.checked._segment_program = self._segments
@@ -127,17 +120,7 @@ class Template:
         self.generated_source = record["generated_source"]
         self._hole_names = sorted(record["holes"])
         self._hole_specs = record["holes"]
-        self._segments = record.get("program")
-        self.text_source = record.get("text_source")
-        if self._segments is not None and self.text_source is not None:
-            from repro.pxml.segments import build_text_namespace
-
-            text_namespace = build_text_namespace(self._segments, self.binding)
-            exec(
-                compile(self.text_source, "<pxml:render_text>", "exec"),
-                text_namespace,
-            )
-            self._render_text = text_namespace["render_text"]
+        self._segments = record["program"]
         return True
 
     def _store_cached(self, cache: Any, key: str) -> None:
@@ -150,7 +133,6 @@ class Template:
                 self.generated_source,
                 self._root_name or "",
                 self.checked.holes,
-                text_source=self.text_source,
                 segment_program=self._segments,
                 compact=cache.compact_artifacts,
             )
@@ -212,9 +194,9 @@ class Template:
         whose shape the segment compiler declines transparently take the
         render-then-serialize route.
         """
-        if self._render_text is not None:
+        if self._segments is not None:
             obs.count("render.route", route="segment")
-            return self._render_text(**values)
+            return self._segments.render(values)
         if self.checked is not None:
             return render_text_interpreted(self.checked, **values)
         # A cached template whose segment program did not survive
@@ -243,7 +225,7 @@ class Template:
         if self._segments is None:
             return None
         obs.count("render.route", route="segment-stream")
-        return self._segments.fill(values, check=True)
+        return self._segments.fill(values)
 
     def render_document(self, **values: Any):
         """Render and wrap in a document (root must be global)."""

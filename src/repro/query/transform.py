@@ -45,11 +45,10 @@ def _render_hit_text(template: Template, values: dict[str, Any]) -> str:
 
     ``render_text`` is byte-identical to ``serialize(render(...))`` by
     the PR 2 contract whichever route it takes internally; the counter
-    records whether the segment machinery (compiled function or
-    interpreted program) did the work or the hit fell back to building
-    a DOM tree.
+    records whether the segment program did the work or the hit fell
+    back to building a DOM tree.
     """
-    if template._render_text is not None or template._segments is not None:
+    if template._segments is not None:
         obs.count("query.transform", route="segment")
     else:
         obs.count("query.transform", route="dom", reason="no-segment-program")

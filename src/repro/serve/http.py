@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import time
 from email.utils import formatdate
-from urllib.parse import parse_qsl, unquote, urlsplit
+from urllib.parse import unquote, urlsplit
 
 from repro.errors import ReproError
 
@@ -129,7 +129,7 @@ def parse_request(head: bytes) -> HttpRequest:
         raise HttpError(400, f"unsupported request target {target!r}")
     split = urlsplit(target)
     path = unquote(split.path)
-    query = dict(parse_qsl(split.query, keep_blank_values=True))
+    query = parse_query(split.query)
     headers: dict[str, str] = {}
     for line in lines[1:]:
         if not line:
@@ -139,6 +139,25 @@ def parse_request(head: bytes) -> HttpRequest:
             raise HttpError(400, f"malformed header line {line!r}")
         headers[name.lower()] = value.strip()
     return HttpRequest(method, target, path, query, version, headers)
+
+
+def parse_query(query: str) -> dict[str, str]:
+    """``dict(parse_qsl(query, keep_blank_values=True))``, cheaper.
+
+    Only fields holding a ``%`` escape or a ``+`` go through
+    ``unquote``: a 450-hole page's query spent most of a cached
+    response's time in ``parse_qsl``'s two calls per field.
+    """
+    pairs: dict[str, str] = {}
+    for field in query.split("&"):
+        if not field:
+            continue
+        name, _, value = field.partition("=")
+        if "%" in field or "+" in field:
+            name = unquote(name.replace("+", " "))
+            value = unquote(value.replace("+", " "))
+        pairs[name] = value
+    return pairs
 
 
 #: ``(whole_second, formatted)`` memo behind :func:`http_date`

@@ -139,7 +139,7 @@ class Route:
             return None
         return (
             self.fingerprint,
-            tuple(params.get(name) for name in self._ordered_holes),
+            tuple(map(params.get, self._ordered_holes)),
         )
 
 

@@ -1,13 +1,16 @@
 """Cache format versioning: entries written by an older format are never
-served — the fingerprint changes, so a v5 reader simply recompiles past
-a directory full of v4 artifacts."""
+served — the fingerprint changes, so a current reader simply recompiles
+past a directory full of older artifacts."""
 
 import importlib
+import pickle
 
 from repro.cache.fingerprint import CACHE_FORMAT_VERSION, fingerprint
 
 fingerprint_module = importlib.import_module("repro.cache.fingerprint")
+from repro.cache.fingerprint import combine
 from repro.cache.manager import ReproCache
+from repro.pxml import Template
 
 SCHEMA = """
 <xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
@@ -22,8 +25,8 @@ SCHEMA = """
 """
 
 
-def test_format_version_is_five():
-    assert CACHE_FORMAT_VERSION == 5
+def test_format_version_is_six():
+    assert CACHE_FORMAT_VERSION == 6
 
 
 def test_fingerprint_changes_with_format_version(monkeypatch):
@@ -52,6 +55,50 @@ def test_v4_entries_are_invisible_to_a_v5_reader(tmp_path, monkeypatch):
     warm.bind(SCHEMA)
     assert warm.stats.misses == 0
     assert warm.stats.hits >= 1
+
+
+def test_v5_template_record_is_invisible_to_a_v6_reader(tmp_path, monkeypatch):
+    """A v5 template record still carries the generated render-to-text
+    source.  Left in a directory, it is never looked up by a v6 reader
+    (so its source is never compiled): the template is checked afresh,
+    renders correctly, and a second v6 cache then starts warm."""
+    source = "<root><item>$x$</item></root>"
+    with monkeypatch.context() as patch:
+        patch.setattr(fingerprint_module, "CACHE_FORMAT_VERSION", 5)
+        stale_writer = ReproCache(tmp_path)
+        binding = stale_writer.bind(SCHEMA)
+        v5_record = {
+            "kind": "template",
+            "root": "root",
+            "generated_source": "def render(factory, *, x):\n    1 / 0\n",
+            "holes": {"x": {"kind": "text", "classes": []}},
+            "text_source": "def render_text(*, x):\n    1 / 0\n",
+            "segments": [("s", "<root><item>v5</item></root>")],
+        }
+        v5_key = combine(
+            binding.cache_fingerprint, "template", source, param_types=()
+        )
+        stale_writer.put_bytes("template", v5_key, pickle.dumps(v5_record))
+        # A v5 lookup finds the planted record.
+        planted = Template(binding, source, cache=ReproCache(tmp_path))
+        assert planted.render_text(x="y") == "<root><item>v5</item></root>"
+
+    fresh = ReproCache(tmp_path)
+    fresh_binding = fresh.bind(SCHEMA)
+    assert combine(
+        fresh_binding.cache_fingerprint, "template", source, param_types=()
+    ) != v5_key
+    template = Template(fresh_binding, source, cache=fresh)
+    assert template.checked is not None  # checked afresh, not loaded
+    assert template.render_text(x="a & b") == (
+        "<root><item>a &amp; b</item></root>"
+    )
+
+    warm = ReproCache(tmp_path)
+    rehydrated = Template(warm.bind(SCHEMA), source, cache=warm)
+    assert rehydrated.checked is None
+    assert rehydrated.render_text(x="y") == "<root><item>y</item></root>"
+    assert warm.stats.misses == 0
 
 
 def test_lazy_roots_key_separate_entries(tmp_path):

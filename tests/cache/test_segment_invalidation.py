@@ -19,6 +19,7 @@ from repro.cache.artifacts import (
 from repro.dom import serialize
 from repro.errors import VdomTypeError
 from repro.pxml import Template
+from repro.pxml.segments import program_to_record
 from repro.schemas import PURCHASE_ORDER_SCHEMA
 
 QUANTITY_SCHEMA_V1 = """\
@@ -59,8 +60,10 @@ class TestWarmLoad:
         warm_binding = warm_cache.bind(PURCHASE_ORDER_SCHEMA)
         warm = Template(warm_binding, "<comment>$c$</comment>", cache=warm_cache)
         assert warm.checked is None  # loaded, not re-checked
-        assert warm._render_text is not None
-        assert warm.text_source == cold.text_source
+        assert warm._segments is not None
+        assert program_to_record(
+            warm._segments, warm_binding
+        ) == program_to_record(cold._segments, cold_binding)
         assert warm.render_text(c="warm & cold") == expected
         assert warm.render_text(c="warm & cold") == serialize(
             warm.render(c="warm & cold")
@@ -146,7 +149,6 @@ class TestCorruptionRecovery:
             template.generated_source,
             "comment",
             {},
-            text_source=template.text_source,
             segment_program=template._segments,
             compact=cache.compact_artifacts,
         )

@@ -47,8 +47,8 @@ class TestSegmentCompilation:
         assert program is not None
         assert program.segments == ["<city>Mill Valley</city>"]
         assert program.static_ratio() == 1.0
-        # The generated function short-circuits to a constant return.
-        assert "return '<city>Mill Valley</city>'" in template.text_source
+        # Rendering short-circuits to the precomputed constant itself.
+        assert template.render_text() is program.segments[0]
 
     def test_text_hole_template_mostly_static(self, po_binding):
         template = Template(
@@ -81,7 +81,7 @@ class TestSegmentCompilation:
         )
         # Element-level fixed values are outside the partitioner's proof.
         assert compile_segments(template.checked) is None
-        assert template.text_source is None
+        assert template._segments is None
         # ...but render_text still works, through the DOM fallback.
         assert template.render_text(b="hi") == serialize(
             template.render(b="hi")
@@ -138,7 +138,7 @@ class TestRenderTextEquivalence:
         template = Template(
             po_binding, "<comment>$c$</comment>", compiled=False
         )
-        assert template._render_text is None
+        assert template._segments is None
         value = "via the interpreter < & >"
         assert template.render_text(c=value) == serialize(
             template.render(c=value)
@@ -228,9 +228,7 @@ class TestRecordRoundTrip:
         record = program_to_record(program, po_binding)
         rebuilt = program_from_record(record, po_binding, program.hole_specs)
         values = {"pn": "872-AA", "p": "Mower & Sons", "q": 3}
-        assert rebuilt.render(values, check=True) == program.render(
-            values, check=True
-        )
+        assert rebuilt.render(values) == program.render(values)
 
     def test_rebuilt_program_still_validates(self, po_binding):
         template = Template(po_binding, "<quantity>$q$</quantity>")
@@ -241,7 +239,7 @@ class TestRecordRoundTrip:
             program.hole_specs,
         )
         with pytest.raises(VdomTypeError, match="maxExclusive"):
-            rebuilt.render({"q": 100}, check=True)
+            rebuilt.render({"q": 100})
 
 
 def _load_demo_templates():

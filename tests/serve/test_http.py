@@ -3,10 +3,13 @@
 import pytest
 
 from repro.errors import ReproError
+from urllib.parse import parse_qsl
+
 from repro.serve.http import (
     HttpError,
     build_response,
     error_response,
+    parse_query,
     parse_request,
 )
 
@@ -28,6 +31,25 @@ class TestParseRequest:
         request = _parse("GET /ship_to?name=Alice%20Smith&x=&y=1 HTTP/1.1")
         assert request.path == "/ship_to"
         assert request.query == {"name": "Alice Smith", "x": "", "y": "1"}
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "",
+            "a=1",
+            "a=1&b=&c",
+            "&&a=1&&",
+            "a=1&a=2",
+            "name=Alice+Smith&q=a%2Bb%26c",
+            "caf%C3%A9=cr%C3%A8me&bad=%zz&cut=%e9",
+            "a=b=c&=x&k=%",
+            "p0=100-AB&q0=1&u0=0.99&p1=101-AB",
+        ],
+    )
+    def test_query_matches_parse_qsl(self, query):
+        assert parse_query(query) == dict(
+            parse_qsl(query, keep_blank_values=True)
+        )
 
     def test_percent_encoded_path(self):
         assert _parse("GET /a%20b HTTP/1.1").path == "/a b"
