@@ -15,8 +15,7 @@ Measured here:
 * **fused (object DFAs)** — ``fused_parse(use_tables=False)``: the
   golden-reference route and the denominator for the table-driven floor,
 * **turbo**  — ``table_parse``: flat integer DFA tables stepped by the
-  single-alternation scanner (both the stdlib regex lane and, when
-  numpy is importable, the vectorized structural-index lane),
+  single-alternation scanner,
 * **tokenizer** — event iteration alone, both parsers,
 * **verdict** — ``StreamingValidator.validate_text``: the verdict-only
   turbo route (turbo scanner + DFA tables, no tree) on the same text,
@@ -55,7 +54,6 @@ from benchmarks.conftest import purchase_order_text
 from repro.core import bind
 from repro.dom.document import Document
 from repro.ingest import fused_parse, legacy_parse, table_parse, validate_files
-from repro.ingest import structural
 from repro.schemas import PURCHASE_ORDER_SCHEMA, XHTML_SUBSET_SCHEMA
 from repro.xml.events import Characters, EndElement, StartElement
 from repro.xml.parser import PullParser
@@ -167,10 +165,7 @@ def _measure_corpus(label, schema_text, text):
     golden = serialize(_seed_pipeline(binding, text))
     assert serialize(fused_parse(binding, text)) == golden
     assert serialize(fused_parse(binding, text, use_tables=False)) == golden
-    assert serialize(table_parse(binding, text, lane="stdlib")) == golden
-    index_available = structural.markup_index(text) is not None
-    if index_available:
-        assert serialize(table_parse(binding, text, lane="index")) == golden
+    assert serialize(table_parse(binding, text)) == golden
     validator = StreamingValidator(binding.schema)
     assert validator.validate_text(text) == []
     actions = [
@@ -179,17 +174,12 @@ def _measure_corpus(label, schema_text, text):
         lambda: fused_parse(binding, text),
         lambda: fused_parse(binding, text, use_tables=False),
         lambda: table_parse(binding, text),
-        lambda: table_parse(binding, text, lane="stdlib"),
         lambda: _drain(ReferencePullParser, text),
         lambda: _drain(PullParser, text),
         lambda: validator.validate_text(text),
     ]
-    if index_available:
-        actions.append(lambda: table_parse(binding, text, lane="index"))
-    timings = _best_seconds_interleaved(actions)
-    (seed, legacy, fused, fused_object, turbo, turbo_stdlib,
-     reference_scan, fast_scan, verdict) = timings[:9]
-    turbo_index = timings[9] if index_available else None
+    (seed, legacy, fused, fused_object, turbo,
+     reference_scan, fast_scan, verdict) = _best_seconds_interleaved(actions)
     result = {
         "document_bytes": len(text),
         "seed_ms": round(seed * 1000, 2),
@@ -197,11 +187,6 @@ def _measure_corpus(label, schema_text, text):
         "fused_ms": round(fused * 1000, 2),
         "fused_object_ms": round(fused_object * 1000, 2),
         "turbo_ms": round(turbo * 1000, 2),
-        "turbo_stdlib_ms": round(turbo_stdlib * 1000, 2),
-        "turbo_index_ms": (
-            round(turbo_index * 1000, 2) if turbo_index is not None else None
-        ),
-        "index_lane_available": index_available,
         "reference_tokenize_ms": round(reference_scan * 1000, 2),
         "fast_tokenize_ms": round(fast_scan * 1000, 2),
         "tokenizer_speedup": round(reference_scan / fast_scan, 2),
@@ -219,8 +204,6 @@ def _measure_corpus(label, schema_text, text):
         f"fused {result['fused_ms']}ms  -> {result['fused_vs_seed']}x vs seed "
         f"(tokenizer alone {result['tokenizer_speedup']}x)\n"
         f"{label}: turbo {result['turbo_ms']}ms "
-        f"(stdlib {result['turbo_stdlib_ms']}ms, "
-        f"index {result['turbo_index_ms']}ms) "
         f"-> {result['turbo_vs_fused_object']}x vs object-DFA fused, "
         f"{result['turbo_vs_seed']}x vs seed\n"
         f"{label}: verdict {result['verdict_ms']}ms "

@@ -41,6 +41,7 @@ from repro.dom.charnodes import Text
 from repro.core.vdom import Binding, TypedElement
 from repro.xml.events import Characters, DoctypeDecl, EndElement, StartElement
 from repro.xml.parser import PullParser
+from repro.xml.turbo import MEMO_VALUE_LENGTH
 from repro.xsd.components import ANY_TYPE, ComplexType, ContentType
 from repro.xsd.simple import SimpleType
 
@@ -48,7 +49,9 @@ _STRUCTURED = (ContentType.ELEMENT_ONLY, ContentType.MIXED)
 
 #: per-declaration cap on the accepted-leaf-value memo (turbo lane):
 #: high-cardinality corpora stop inserting once full instead of growing
-#: without bound, and hits keep working for the values already seen
+#: without bound, and hits keep working for the values already seen.
+#: Values longer than :data:`~repro.xml.turbo.MEMO_VALUE_LENGTH` are
+#: never stored: the memo lives on the cached binding.
 _VALUE_MEMO_LIMIT = 4096
 
 
@@ -169,14 +172,7 @@ def fused_parse(
     binding._require_no_namespaces("fused ingest")
     schema = binding.schema
     class_by_declaration = binding.class_by_declaration
-    # Per-declaration dispatch info (class, resolved type, structuredness,
-    # DFA + flat table, content type), computed once per binding:
-    # declarations are interned in the schema, so ``id`` keys are stable
-    # for its lifetime.
-    dispatch = binding.__dict__.get("_ingest_dispatch")
-    if dispatch is None:
-        dispatch = {}
-        binding._ingest_dispatch = dispatch
+    dispatch = _dispatch_table(binding)
     events = iter(PullParser(text, source))
     stack: list[_Frame] = []
     root: TypedElement | None = None
@@ -295,6 +291,18 @@ def fused_parse(
         raise
     assert root is not None  # the parser guarantees a root element
     return root
+
+
+def _dispatch_table(binding: Binding) -> dict:
+    """The binding's per-declaration dispatch entries (class, resolved
+    type, structuredness, DFA + flat table, content type, ...), filled
+    lazily by both ingest lanes: declarations are interned in the
+    schema, so ``id`` keys are stable for its lifetime."""
+    dispatch = binding.__dict__.get("_ingest_dispatch")
+    if dispatch is None:
+        dispatch = {}
+        binding._ingest_dispatch = dispatch
+    return dispatch
 
 
 def _dispatch_info(schema, class_by_declaration, declaration) -> tuple:
@@ -460,7 +468,11 @@ def _construct(binding: Binding, frame: _Frame) -> TypedElement:
                     raise VdomTypeError(
                         f"content of <{tag}>: {error.message}"
                     )
-                if memo is not None and len(memo) < _VALUE_MEMO_LIMIT:
+                if (
+                    memo is not None
+                    and len(data) <= MEMO_VALUE_LENGTH
+                    and len(memo) < _VALUE_MEMO_LIMIT
+                ):
                     memo[data] = True
         elif not is_any:
             matcher = frame.matcher
@@ -530,7 +542,11 @@ def _construct(binding: Binding, frame: _Frame) -> TypedElement:
                                 f"content of <{tag}>: "
                                 f"{error.message}"
                             )
-                        if memo is not None and len(memo) < _VALUE_MEMO_LIMIT:
+                        if (
+                            memo is not None
+                            and len(data) <= MEMO_VALUE_LENGTH
+                            and len(memo) < _VALUE_MEMO_LIMIT
+                        ):
                             memo[data] = True
             else:
                 # A class whose declared type differs from the matched

@@ -15,11 +15,7 @@ straight off the source text:
   location bookkeeping;
 * content models are stepped through the flat integer
   :class:`~repro.automata.tables.DfaTable` arrays — a symbol-id probe
-  and two array indexings per child element;
-* when numpy is importable (see :mod:`repro.ingest.structural`) an
-  **index lane** first locates every ``<``/``>`` in one vectorized
-  sweep and walks tag-body slices directly, memoizing the parse of each
-  distinct tag body — repeated tags cost a dict probe.
+  and two array indexings per child element.
 
 Parity is guaranteed by construction, not by reimplementation:
 **the turbo lane never produces its own verdicts**.  It succeeds only
@@ -34,7 +30,7 @@ authoritative result: same tree, same exception type, same message,
 same :class:`~repro.xml.events.Location`, same syntax-over-validity
 error precedence.  Invalid documents therefore pay one extra (fast,
 aborted) scan; valid documents — the hot serving case — skip the event
-layer entirely.  ``tests/ingest/test_table_parity.py`` holds both lanes
+layer entirely.  ``tests/ingest/test_table_parity.py`` holds the lane
 to the fused/legacy routes across the full parity corpus.
 """
 
@@ -43,15 +39,14 @@ from __future__ import annotations
 from repro import obs
 from repro.core.vdom import Binding, TypedElement
 from repro.errors import VdomTypeError, XmlSyntaxError
-from repro.ingest import structural
 from repro.ingest.fused import (
     _construct,
     _dispatch_info,
+    _dispatch_table,
     _Frame,
     fused_parse,
 )
 from repro.xml.turbo import (
-    TAG_BODY,
     TOKEN,
     Restart,
     content_attributes as _parse_attributes,
@@ -61,26 +56,20 @@ from repro.xml.turbo import (
 
 
 def table_parse(
-    binding: Binding,
-    text: str,
-    source: str | None = None,
-    *,
-    lane: str = "auto",
+    binding: Binding, text: str, source: str | None = None
 ) -> TypedElement:
     """Parse + validate *text* through the turbo lane, fused on restart.
 
-    ``lane`` selects the tokenizer: ``"auto"`` (vectorized index when
-    numpy is importable and the text is ASCII, stdlib regex otherwise),
-    ``"stdlib"``, or ``"index"`` (raises :class:`ValueError` when numpy
-    is unavailable — used by the parity tests to pin a lane).
-
     Observationally identical to ``fused_parse(binding, text, source)``
-    in every outcome; restarts are counted under the
-    ``ingest.turbo{outcome=restart}`` observability counter.
+    in every outcome: every restart re-runs the *original* text (BOM and
+    XML declaration included), so error locations cannot move.  Hits
+    and restarts are counted under the ``ingest.turbo{outcome=...}``
+    observability counter.
     """
     binding._require_no_namespaces("table-driven ingest")
     try:
-        root, used = _turbo_parse(binding, text, lane)
+        body, pos = prologue(text)
+        root = _scan(binding, body, pos)
     except Restart as restart:
         obs.count("ingest.turbo", outcome="restart", reason=restart.reason)
         return fused_parse(binding, text, source)
@@ -94,41 +83,12 @@ def table_parse(
         # produce the error with its exact location.
         obs.count("ingest.turbo", outcome="restart", reason="syntax")
         return fused_parse(binding, text, source)
-    obs.count("ingest.turbo", outcome="hit", lane=used)
+    obs.count("ingest.turbo", outcome="hit")
     return root
 
 
-def _turbo_parse(
-    binding: Binding, text: str, lane: str
-) -> tuple[TypedElement, str]:
-    text, pos = prologue(text)
-    if lane == "index":
-        index = structural.markup_index(text, pos)
-        if index is None:
-            raise ValueError(
-                "index lane requested but numpy is unavailable "
-                "(or the document is not ASCII)"
-            )
-        return _scan_index(binding, text, pos, index), "index"
-    if lane == "auto":
-        index = structural.markup_index(text, pos)
-        if index is not None:
-            return _scan_index(binding, text, pos, index), "index"
-    elif lane != "stdlib":
-        raise ValueError(f"unknown turbo lane {lane!r}")
-    return _scan_regex(binding, text, pos), "stdlib"
-
-
-def _dispatch_table(binding: Binding) -> dict:
-    dispatch = binding.__dict__.get("_ingest_dispatch")
-    if dispatch is None:
-        dispatch = {}
-        binding._ingest_dispatch = dispatch
-    return dispatch
-
-
-def _scan_regex(binding: Binding, text: str, pos: int) -> TypedElement:
-    """The stdlib lane: drive construction off the master alternation."""
+def _scan(binding: Binding, text: str, pos: int) -> TypedElement:
+    """Drive typed construction off the master alternation."""
     schema = binding.schema
     elements = schema.elements
     class_by_declaration = binding.class_by_declaration
@@ -263,184 +223,3 @@ def _scan_regex(binding: Binding, text: str, pos: int) -> TypedElement:
             raise Restart("text outside root")
     return root
 
-
-def _scan_index(
-    binding: Binding,
-    text: str,
-    pos: int,
-    index: tuple[list[int], list[int]],
-) -> TypedElement:
-    """The vectorized lane: walk precomputed ``<``/``>`` positions.
-
-    Tag bodies are sliced straight out of the source and their parse
-    (kind, name, attributes, self-closing flag) memoized per distinct
-    body string — repeated tags, the overwhelming case in real corpora,
-    cost one dict probe.  Byte-identical in every outcome to
-    :func:`_scan_regex` (asserted by the parity suite): same subset,
-    same restarts, same trees.
-    """
-    lts, gts = index
-    schema = binding.schema
-    elements = schema.elements
-    class_by_declaration = binding.class_by_declaration
-    dispatch = _dispatch_table(binding)
-    tag_cache: dict[str, tuple] = {}
-    tag_body = TAG_BODY.fullmatch
-    stack: list[_Frame] = []
-    open_names: list[str] = []
-    pending: list[str] = []
-    skip_depth = 0
-    root: TypedElement | None = None
-    gi = 0
-    n_gts = len(gts)
-    prev_end = pos
-    for lt in lts:
-        # -- the text run before this tag ----------------------------------
-        if lt > prev_end:
-            run = text[prev_end:lt]
-            if "&" in run:
-                if not stack:
-                    raise Restart("reference outside content")
-                parts = run.split("&")
-                if parts[0]:
-                    pending.append(parts[0])
-                for part in parts[1:]:
-                    semi = part.find(";")
-                    if semi < 0:
-                        raise Restart("unterminated reference")
-                    pending.append(decode_reference(part[:semi]))
-                    rest = part[semi + 1 :]
-                    if rest:
-                        pending.append(rest)
-            else:
-                pending.append(run)
-        # -- the tag itself -------------------------------------------------
-        while gi < n_gts and gts[gi] < lt:
-            gi += 1
-        if gi >= n_gts:
-            raise Restart("unterminated tag")
-        gt = gts[gi]
-        gi += 1
-        prev_end = gt + 1
-        body = text[lt + 1 : gt]
-        parsed = tag_cache.get(body)
-        if parsed is None:
-            match = tag_body(body)
-            if match is None:
-                # Includes '>' inside an attribute value (the slice ends
-                # early) and every construct outside the turbo grammar.
-                raise Restart("tokenizer")
-            end_name = match[1]
-            if end_name is not None:
-                parsed = (end_name, None, None)
-            else:
-                blob = match[3]
-                parsed = (
-                    None,
-                    match[2],
-                    (
-                        _parse_attributes(blob) if blob else [],
-                        bool(match[4]),
-                    ),
-                )
-            tag_cache[body] = parsed
-        end_name = parsed[0]
-        # -- flush the run at the boundary (one data unit per run) ---------
-        if pending:
-            data = pending[0] if len(pending) == 1 else "".join(pending)
-            pending.clear()
-            if stack:
-                frame = stack[-1]
-                if frame.structured:
-                    if data.strip():
-                        frame.children.append(data)
-                else:
-                    frame.text_parts.append(data)
-            elif data.strip(" \t\n"):
-                raise Restart("text outside root")
-        if end_name is None:  # start tag
-            name = parsed[1]
-            attributes, self_close = parsed[2]
-            if stack:
-                frame = stack[-1]
-                if not frame.structured:
-                    if not self_close:
-                        skip_depth += 1
-                        open_names.append(name)
-                    continue
-                table = frame.table
-                sym = table.symbol_ids.get(name)
-                if sym is None:
-                    raise VdomTypeError(
-                        f"<{name}> is not allowed inside <{frame.tag}>"
-                    )
-                cell = frame.state * table.n_symbols + sym
-                target = table.nxt[cell]
-                if target < 0:
-                    raise VdomTypeError(
-                        f"<{name}> is not allowed inside <{frame.tag}>"
-                    )
-                frame.state = target
-                declaration = table.payloads[table.pay[cell]]
-            else:
-                if root is not None:
-                    raise Restart("multiple root elements")
-                declaration = elements.get(name)
-                if declaration is None:
-                    raise VdomTypeError(
-                        f"<{name}> is not a global element of the schema"
-                    )
-            info = dispatch.get(id(declaration))
-            if info is None:
-                info = _dispatch_info(schema, class_by_declaration, declaration)
-                dispatch[id(declaration)] = info
-            new_frame = _Frame(
-                name,
-                info[0],
-                info[1],
-                None,
-                info[4],
-                info[2],
-                info[5],
-                info[6],
-                info[7],
-                # Frames mutate nothing in the attribute list, but the
-                # cached parse is shared across repeats of this body.
-                attributes,
-            )
-            new_frame.memo = info[8]
-            if self_close:
-                element = _construct(binding, new_frame)
-                if stack:
-                    parent = stack[-1]
-                    parent.children.append(element)
-                    parent.element_count += 1
-                else:
-                    root = element
-            else:
-                stack.append(new_frame)
-                open_names.append(name)
-        else:  # end tag
-            if not open_names or open_names[-1] != end_name:
-                raise Restart("tag mismatch")
-            open_names.pop()
-            if skip_depth:
-                skip_depth -= 1
-                continue
-            frame = stack.pop()
-            element = _construct(binding, frame)
-            if stack:
-                parent = stack[-1]
-                parent.children.append(element)
-                parent.element_count += 1
-            else:
-                root = element
-    if open_names:
-        raise Restart("unclosed element")
-    if root is None:
-        raise Restart("no root element")
-    if prev_end < len(text):
-        tail = text[prev_end:]
-        if "&" in tail or tail.strip(" \t\n"):
-            raise Restart("text outside root")
-    return root

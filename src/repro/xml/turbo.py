@@ -15,8 +15,10 @@ CDATA, comments, PIs, single-quoted or reference-bearing attributes,
 attributes — raises :class:`Restart`, and the caller re-runs the
 document through its event route, which owns every diagnostic.
 
-Stdlib only: the optional numpy structural index stays in
-:mod:`repro.ingest.structural`.
+Both lanes memoize accepted values in structures that outlive the
+document (the typed lane on the cached binding, the verdict lane on the
+validator); :data:`MEMO_VALUE_LENGTH` is the one length bound they
+share.
 """
 
 from __future__ import annotations
@@ -82,9 +84,12 @@ XML_DECL = re.compile(
 #: Char production (identical illegality verdicts)
 HAZARD = re.compile(f"<[!?]|]]>|\r|[^{char_class()}]")
 
-#: one tag body between ``<`` and ``>``: ``/name`` (end) or
-#: ``name attrs /?`` — the unit the structural-index lane memoizes
-TAG_BODY = re.compile(rf"/({NAME}){WS}*|({NAME})({ATTR_BLOB}){WS}*(/?)")
+#: longest value (or element name) a lane's accepted-value memo stores.
+#: The memos outlive the document, and their inputs are untrusted:
+#: without a length bound a leaf of type ``xsd:string`` could pin as many
+#: request-sized strings per declaration as the memo's count cap allows.
+#: The values worth memoizing — codes, names, enumerations — are short.
+MEMO_VALUE_LENGTH = 64
 
 
 def prologue(text: str) -> tuple[str, int]:

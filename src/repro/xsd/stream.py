@@ -43,6 +43,7 @@ from repro.xml.events import (
 from repro.xml.parser import PullParser
 from repro.xml.qname import XML_NAMESPACE, XSI_NAMESPACE
 from repro.xml.turbo import (
+    MEMO_VALUE_LENGTH,
     TOKEN,
     Restart,
     decode_reference,
@@ -63,15 +64,9 @@ from repro.xsd.simple import SimpleType
 #: high-cardinality corpora stop inserting once full instead of growing
 #: without bound.  A quarter of the typed lane's bound — repeated values
 #: (names, codes, enumerations) hit long before it, and a verdict-only
-#: caller should not hold megabytes of one-off strings.
+#: caller should not hold megabytes of one-off strings.  Values longer
+#: than :data:`~repro.xml.turbo.MEMO_VALUE_LENGTH` are never stored.
 _VALUE_MEMO_LIMIT = 1024
-
-#: longest value (or element name) a turbo-route memo stores.  The memos
-#: outlive the document, and their inputs are untrusted: without a length
-#: bound a leaf of type ``xsd:string`` could pin up to ``_VALUE_MEMO_LIMIT``
-#: request-sized strings per declaration.  The values worth memoizing —
-#: codes, names, enumerations — are short.
-_MEMO_VALUE_LENGTH = 64
 
 
 class _Frame:
@@ -398,7 +393,7 @@ class StreamingValidator:
                     raise Restart("validation")
                 simple_type.parse(value)
                 if (
-                    len(value) <= _MEMO_VALUE_LENGTH
+                    len(value) <= MEMO_VALUE_LENGTH
                     and len(memo) < _VALUE_MEMO_LIMIT
                 ):
                     memo.add(value)
@@ -816,7 +811,7 @@ class _Scope:
     def element_key(self, name: str) -> str:
         """``_element_key`` for a namespaced schema, cached per scope."""
         key = _element_key(name, self.namespaces, True)
-        if len(name) <= _MEMO_VALUE_LENGTH and len(self.keys) < _VALUE_MEMO_LIMIT:
+        if len(name) <= MEMO_VALUE_LENGTH and len(self.keys) < _VALUE_MEMO_LIMIT:
             self.keys[name] = key
         return key
 
@@ -901,7 +896,7 @@ def _finish(decl: _Decl, state: int, texts: list[str] | None) -> None:
         memo = decl.memo
         if text not in memo:
             leaf.parse(text)
-            if len(text) <= _MEMO_VALUE_LENGTH and len(memo) < _VALUE_MEMO_LIMIT:
+            if len(text) <= MEMO_VALUE_LENGTH and len(memo) < _VALUE_MEMO_LIMIT:
                 memo.add(text)
     if decl.fixed is not None and text != decl.fixed:
         raise Restart("validation")
