@@ -11,8 +11,7 @@ Measured here:
 
 * **seed**   — reference parser -> DOM -> ``from_dom`` (the pre-PR path),
 * **legacy** — scanning parser -> DOM -> ``from_dom`` (tokenizer win only),
-* **fused**  — ``fused_parse`` (the full pipeline win),
-* **fused (object DFAs)** — ``fused_parse(use_tables=False)``: the
+* **fused**  — ``fused_parse`` (the full pipeline win): the object-DFA
   golden-reference route and the denominator for the table-driven floor,
 * **turbo**  — ``table_parse``: flat integer DFA tables stepped by the
   single-alternation scanner,
@@ -164,7 +163,6 @@ def _measure_corpus(label, schema_text, text):
 
     golden = serialize(_seed_pipeline(binding, text))
     assert serialize(fused_parse(binding, text)) == golden
-    assert serialize(fused_parse(binding, text, use_tables=False)) == golden
     assert serialize(table_parse(binding, text)) == golden
     validator = StreamingValidator(binding.schema)
     assert validator.validate_text(text) == []
@@ -172,27 +170,25 @@ def _measure_corpus(label, schema_text, text):
         lambda: _seed_pipeline(binding, text),
         lambda: legacy_parse(binding, text),
         lambda: fused_parse(binding, text),
-        lambda: fused_parse(binding, text, use_tables=False),
         lambda: table_parse(binding, text),
         lambda: _drain(ReferencePullParser, text),
         lambda: _drain(PullParser, text),
         lambda: validator.validate_text(text),
     ]
-    (seed, legacy, fused, fused_object, turbo,
+    (seed, legacy, fused, turbo,
      reference_scan, fast_scan, verdict) = _best_seconds_interleaved(actions)
     result = {
         "document_bytes": len(text),
         "seed_ms": round(seed * 1000, 2),
         "legacy_ms": round(legacy * 1000, 2),
         "fused_ms": round(fused * 1000, 2),
-        "fused_object_ms": round(fused_object * 1000, 2),
         "turbo_ms": round(turbo * 1000, 2),
         "reference_tokenize_ms": round(reference_scan * 1000, 2),
         "fast_tokenize_ms": round(fast_scan * 1000, 2),
         "tokenizer_speedup": round(reference_scan / fast_scan, 2),
         "fused_vs_seed": round(seed / fused, 2),
         "fused_vs_legacy": round(legacy / fused, 2),
-        "turbo_vs_fused_object": round(fused_object / turbo, 2),
+        "turbo_vs_fused_object": round(fused / turbo, 2),
         "turbo_vs_seed": round(seed / turbo, 2),
         "verdict_ms": round(verdict * 1000, 2),
         "build_over_verdict": round(turbo / verdict, 2),

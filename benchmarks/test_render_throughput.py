@@ -132,23 +132,27 @@ def _write_json_report():
             json.dump(RESULTS, handle, indent=2, sort_keys=True)
 
 
-def _renders_per_second(action, renders=RENDERS, repeats=REPEATS):
-    """Best-of-*repeats* renders/sec (max biases against warmup noise)."""
-    rates = []
+def _renders_per_second(dom, text, renders=RENDERS, repeats=REPEATS):
+    """Best-of-*repeats* renders/sec of the *dom* and *text* routes (max
+    biases against warmup noise), measured in alternating rounds so a
+    load spike on a shared machine slows both routes' rounds rather than
+    one route's whole measurement."""
+    best = [0.0, 0.0]
     for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(renders):
-            action()
-        elapsed = time.perf_counter() - start
-        rates.append(renders / elapsed)
-    return max(rates)
+        for index, action in enumerate((dom, text)):
+            start = time.perf_counter()
+            for _ in range(renders):
+                action()
+            elapsed = time.perf_counter() - start
+            best[index] = max(best[index], renders / elapsed)
+    return best
 
 
 def _measure(template, values):
-    dom_rps = _renders_per_second(
-        lambda: serialize(template.render(**values))
+    dom_rps, text_rps = _renders_per_second(
+        lambda: serialize(template.render(**values)),
+        lambda: template.render_text(**values),
     )
-    text_rps = _renders_per_second(lambda: template.render_text(**values))
     return {
         "dom_renders_per_sec": round(dom_rps, 1),
         "text_renders_per_sec": round(text_rps, 1),
@@ -200,11 +204,9 @@ def test_element_hole_throughput(capsys):
         one=item_template.render()
     ) == serialize(items_template.render(one=item_template.render()))
 
-    dom_rps = _renders_per_second(
-        lambda: serialize(items_template.render(one=item_template.render()))
-    )
-    text_rps = _renders_per_second(
-        lambda: items_template.render_text(one=item_template.render())
+    dom_rps, text_rps = _renders_per_second(
+        lambda: serialize(items_template.render(one=item_template.render())),
+        lambda: items_template.render_text(one=item_template.render()),
     )
     result = {
         "dom_renders_per_sec": round(dom_rps, 1),
@@ -257,11 +259,10 @@ def test_heavy_page_throughput(capsys):
         template.render(**HEAVY_VALUES)
     )
     renders = max(RENDERS // 100, 3)
-    dom_rps = _renders_per_second(
-        lambda: serialize(template.render(**HEAVY_VALUES)), renders
-    )
-    text_rps = _renders_per_second(
-        lambda: template.render_text(**HEAVY_VALUES), renders
+    dom_rps, text_rps = _renders_per_second(
+        lambda: serialize(template.render(**HEAVY_VALUES)),
+        lambda: template.render_text(**HEAVY_VALUES),
+        renders,
     )
     result = {
         "dom_renders_per_sec": round(dom_rps, 1),

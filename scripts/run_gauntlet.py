@@ -2,8 +2,9 @@
 """Run the real-world schema gauntlet and emit a per-schema report.
 
 Binds every corpus family (multi-namespace, multi-document schemas),
-validates every instance through the object-DFA, table-driven,
-warm-cache, pooled, and lazy-subset lanes, and insists all verdicts are
+validates every instance through the event-walk (golden), text
+(``validate_text``: turbo walk, event walk on restart), warm-cache,
+pooled, and lazy-subset lanes, and insists all verdicts are
 byte-identical.  Also proves stale-format cache recovery: entries
 written under the previous on-disk format version are invisible to the
 current reader, which recompiles and then runs warm.

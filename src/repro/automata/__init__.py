@@ -33,7 +33,7 @@ from repro.automata.glushkov import (
     NondeterminismError,
     build_dfa,
 )
-from repro.automata.tables import DfaTable, TableMatcher
+from repro.automata.tables import DfaTable
 
 __all__ = [
     "Alternation",
@@ -48,7 +48,6 @@ __all__ = [
     "Repetition",
     "Sequence",
     "Symbol",
-    "TableMatcher",
     "UNBOUNDED",
     "build_dfa",
 ]

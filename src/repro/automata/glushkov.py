@@ -151,6 +151,9 @@ class Dfa:
     def state_count(self) -> int:
         return len(self.transitions)
 
+    def is_accepting(self, state: int) -> bool:
+        return state in self.accepting
+
     def expected_keys(self, state: int) -> list[Hashable]:
         # Sorting the alphabet by repr on every call sat on the checker's
         # expected-names error path; the transition map is immutable after

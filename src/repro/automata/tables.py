@@ -27,8 +27,8 @@ State numbering, acceptance, attribution (which payload consumes which
 key) and the *order* of expected-key error listings are all identical to
 the source DFA — ``tests/automata/test_tables.py`` holds every table to
 its object twin over the schema corpus — so an integer state produced by
-one route (e.g. the fused ingest's ``_content_state``) can be resumed by
-the other.
+one (e.g. the turbo build's ``_content_state``) can be resumed by the
+other.
 
 Tables pickle compactly (the paper's "preparation time" artifact): the
 persistent compilation cache stores them prewarmed next to the object
@@ -113,10 +113,7 @@ class DfaTable:
         )
         return cls(tuple(symbols), nxt, pay, tuple(payloads), accepting)
 
-    # -- the object-matcher API, table-backed ---------------------------------
-
-    def matcher(self) -> "TableMatcher":
-        return TableMatcher(self)
+    # -- stepping ---------------------------------------------------------------
 
     def state_count(self) -> int:
         return len(self.accepting)
@@ -174,47 +171,3 @@ class DfaTable:
             DfaTable,
             (self.symbols, self.nxt, self.pay, self.payloads, self.accepting),
         )
-
-
-class TableMatcher:
-    """Drop-in :class:`~repro.automata.glushkov.Matcher` over a table.
-
-    Same API (``step`` / ``at_accepting_state`` / ``expected`` /
-    ``reset`` and a plain-int ``state`` attribute), same return values,
-    same error-listing order — consumers written against the object
-    matcher (the streaming validator, the checker) switch by changing
-    only where the matcher comes from.  Hot loops that cannot afford the
-    per-step method call inline the two array indexings instead.
-    """
-
-    __slots__ = ("table", "state")
-
-    def __init__(self, table: DfaTable):
-        self.table = table
-        self.state = 0
-
-    def step(self, key: Hashable) -> Any | None:
-        """Consume *key*; return the matched payload or ``None``.
-
-        A failed step leaves the state unchanged (the caller may still
-        ask :meth:`expected` what would have been acceptable).
-        """
-        table = self.table
-        sym = table.symbol_ids.get(key)
-        if sym is None:
-            return None
-        cell = self.state * table.n_symbols + sym
-        target = table.nxt[cell]
-        if target < 0:
-            return None
-        self.state = target
-        return table.payloads[table.pay[cell]]
-
-    def at_accepting_state(self) -> bool:
-        return self.table.accepting[self.state] == 1
-
-    def expected(self) -> list[Hashable]:
-        return self.table.expected_keys(self.state)
-
-    def reset(self) -> None:
-        self.state = 0

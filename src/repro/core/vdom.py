@@ -95,6 +95,21 @@ def lexicalize(value: Any) -> str:
     )
 
 
+def leaf_content_error(tag: str, type_definition: Any) -> VdomTypeError:
+    """The typed constructor's rejection of content under <*tag*>, whose
+    type admits no child elements (a simple type, or empty or simple
+    content)."""
+    if isinstance(type_definition, SimpleType):
+        return VdomTypeError(
+            f"<{tag}> has a simple type and may not contain child elements"
+        )
+    if type_definition.content_type is ContentType.EMPTY:
+        return VdomTypeError(f"<{tag}> must be empty")
+    return VdomTypeError(
+        f"<{tag}> has simple content and may not contain child elements"
+    )
+
+
 class VdomGroup:
     """Base of all choice-group marker classes."""
 
@@ -228,10 +243,7 @@ class TypedElement(Element):
 
     def _check_simple(self, simple_type: SimpleType) -> None:
         if self.child_elements():
-            raise VdomTypeError(
-                f"<{self.tag_name}> has a simple type and may not contain "
-                "child elements"
-            )
+            raise leaf_content_error(self.tag_name, simple_type)
         if len(self.attributes):
             raise VdomTypeError(
                 f"<{self.tag_name}> has a simple type and may not carry "
@@ -254,14 +266,11 @@ class TypedElement(Element):
         )
         if content_type is ContentType.EMPTY:
             if children or has_text:
-                raise VdomTypeError(f"<{self.tag_name}> must be empty")
+                raise leaf_content_error(self.tag_name, complex_type)
             return
         if content_type is ContentType.SIMPLE:
             if children:
-                raise VdomTypeError(
-                    f"<{self.tag_name}> has simple content and may not "
-                    "contain child elements"
-                )
+                raise leaf_content_error(self.tag_name, complex_type)
             assert complex_type.simple_content is not None
             try:
                 complex_type.simple_content.parse(self.text_content)
@@ -898,6 +907,8 @@ class Binding:
                 elif isinstance(node, Text) and node.data.strip():
                     children.append(node.data)
         else:
+            if element.child_elements():
+                raise leaf_content_error(element.tag_name, type_definition)
             text = element.text_content
             if text:
                 children.append(text)

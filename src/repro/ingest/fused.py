@@ -21,6 +21,12 @@ validation pass runs.  The observable behaviour is identical to
 * post-parse mutation behaves identically, including the
   ``_content_state`` incremental-append cache.
 
+The fused walk steps the object DFAs' matchers, and it is the golden
+reference (and the restart target) of the table-driven turbo lane in
+:mod:`repro.ingest.table_driven`, which steps their flat
+:class:`~repro.automata.tables.DfaTable` twins.  Both hand each
+completed element to :func:`_construct`.
+
 Documents using features the fused walk cannot prove (an internal DTD
 subset, whose entity/default machinery the DOM route may interpret) fall
 back to the legacy route transparently via :func:`ingest`.
@@ -38,7 +44,7 @@ from repro.errors import SimpleTypeError, VdomTypeError
 from repro.dom.attr import NamedNodeMap
 from repro.dom.builder import parse_document
 from repro.dom.charnodes import Text
-from repro.core.vdom import Binding, TypedElement
+from repro.core.vdom import Binding, TypedElement, leaf_content_error
 from repro.xml.events import Characters, DoctypeDecl, EndElement, StartElement
 from repro.xml.parser import PullParser
 from repro.xml.turbo import MEMO_VALUE_LENGTH
@@ -57,57 +63,6 @@ _VALUE_MEMO_LIMIT = 4096
 
 class IngestFallback(Exception):
     """Raised internally when a document needs the legacy parse route."""
-
-
-class _Frame:
-    """One open element during the fused walk."""
-
-    __slots__ = (
-        "tag",
-        "cls",
-        "type_definition",
-        "matcher",
-        "table",
-        "state",
-        "structured",
-        "content_type",
-        "has_required",
-        "cinfo",
-        "memo",
-        "children",
-        "text_parts",
-        "attributes",
-        "element_count",
-    )
-
-    def __init__(
-        self,
-        tag,
-        cls,
-        type_definition,
-        matcher,
-        table,
-        structured,
-        content_type,
-        has_required,
-        cinfo,
-        attributes,
-    ):
-        self.tag = tag
-        self.cls = cls
-        self.type_definition = type_definition
-        self.matcher = matcher  # object-DFA Matcher (golden route) or None
-        self.table = table  # DfaTable when stepping flat tables, else None
-        self.state = 0  # integer DFA state (table route)
-        self.structured = structured
-        self.content_type = content_type  # None for simple-typed elements
-        self.has_required = has_required  # any required attribute use?
-        self.cinfo = cinfo  # class-derived constants for _construct
-        self.memo = None  # accepted-leaf-value memo (turbo lane only)
-        self.children = []  # str | TypedElement, in document order
-        self.text_parts = []  # all character data in the subtree (leaf only)
-        self.attributes = attributes
-        self.element_count = 0
 
 
 @dataclass
@@ -150,11 +105,7 @@ def ingest(binding: Binding, text: str, source: str | None = None) -> IngestResu
 
 
 def fused_parse(
-    binding: Binding,
-    text: str,
-    source: str | None = None,
-    *,
-    use_tables: bool = True,
+    binding: Binding, text: str, source: str | None = None
 ) -> TypedElement:
     """Single-pass parse + validate + typed construction.
 
@@ -162,120 +113,68 @@ def fused_parse(
     cover (DOCTYPE declarations); callers wanting transparency use
     :func:`ingest` / :func:`parse_typed`.
 
-    With ``use_tables`` (the default) content models are stepped through
-    flat integer transition tables — one dict probe and two array
-    indexings per child element.  ``use_tables=False`` steps the object
-    DFAs instead; it is the golden reference the table route is held to
-    (and the baseline the ``ingest:table_driven`` benchmark floor is
-    measured against).
+    Content models are stepped through the object DFAs' matchers.  This
+    is the golden reference the table-driven turbo lane is held to and
+    restarts into (and the baseline the ``ingest:table_driven``
+    benchmark floor is measured against).
     """
     binding._require_no_namespaces("fused ingest")
-    schema = binding.schema
-    class_by_declaration = binding.class_by_declaration
+    elements = binding.schema.elements
     dispatch = _dispatch_table(binding)
     events = iter(PullParser(text, source))
-    stack: list[_Frame] = []
+    # one [matcher or None, dispatch info, attributes, content] per open
+    # element; content collects its children (structured) or its
+    # character data (leaf), white space included
+    stack: list[list] = []
     root: TypedElement | None = None
-    # Elements below a leaf (non-structured) frame are not typed at all —
-    # ``from_dom`` flattens that subtree to its text content — so they are
-    # only counted, and their character data accrues to the leaf frame.
-    skip_depth = 0
     try:
         for event in events:
             kind = event.__class__
             if kind is Characters:
-                frame = stack[-1]
-                if frame.structured:
-                    if event.data.strip():
-                        frame.children.append(event.data)
-                else:
-                    frame.text_parts.append(event.data)
+                stack[-1][3].append(event.data)
             elif kind is StartElement:
                 if stack:
-                    frame = stack[-1]
-                    if not frame.structured:
-                        skip_depth += 1
-                        continue
-                    table = frame.table
-                    if table is not None:
-                        # The table-driven hot step: symbol-id probe plus
-                        # two array indexings, no method dispatch.
-                        sym = table.symbol_ids.get(event.name)
-                        if sym is None:
-                            target = -1
-                        else:
-                            cell = frame.state * table.n_symbols + sym
-                            target = table.nxt[cell]
-                        if target < 0:
-                            raise VdomTypeError(
-                                f"<{event.name}> is not allowed inside "
-                                f"<{frame.tag}>"
-                            )
-                        frame.state = target
-                        declaration = table.payloads[table.pay[cell]]
-                    else:
-                        matched = frame.matcher.step(event.name)
-                        if matched is None:
-                            raise VdomTypeError(
-                                f"<{event.name}> is not allowed inside "
-                                f"<{frame.tag}>"
-                            )
-                        declaration = matched
+                    parent = stack[-1]
+                    matcher = parent[0]
+                    tag = parent[1][7][0]  # the construct info's tag
+                    if matcher is None:
+                        raise leaf_content_error(tag, parent[1][1])
+                    declaration = matcher.step(event.name)
+                    if declaration is None:
+                        raise VdomTypeError(
+                            f"<{event.name}> is not allowed inside <{tag}>"
+                        )
                 else:
-                    declaration = schema.elements.get(event.name)
+                    declaration = elements.get(event.name)
                     if declaration is None:
                         raise VdomTypeError(
                             f"<{event.name}> is not a global element of the "
                             "schema"
                         )
-                info = dispatch.get(id(declaration))
-                if info is None:
-                    info = _dispatch_info(
-                        schema, class_by_declaration, declaration
-                    )
-                    dispatch[id(declaration)] = info
-                (
-                    cls,
-                    type_definition,
-                    structured,
-                    dfa,
-                    table,
-                    content_type,
-                    has_required,
-                    cinfo,
-                    _memo,  # turbo-lane leaf-value memo; unused here
-                ) = info
-                attributes = event.attributes
-                if attributes:
-                    attributes = [
-                        pair
-                        for pair in attributes
-                        if not pair[0].startswith("xmlns")
-                    ]
+                info = dispatch.get(id(declaration)) or _dispatch_info(
+                    binding, declaration
+                )
                 stack.append(
-                    _Frame(
-                        event.name,
-                        cls,
-                        type_definition,
-                        dfa.matcher() if structured and not use_tables else None,
-                        table if structured and use_tables else None,
-                        structured,
-                        content_type,
-                        has_required,
-                        cinfo,
-                        attributes,
-                    )
+                    [
+                        info[3].matcher() if info[2] else None,
+                        info,
+                        event.attributes,
+                        [],
+                    ]
                 )
             elif kind is EndElement:
-                if skip_depth:
-                    skip_depth -= 1
-                    continue
-                frame = stack.pop()
-                element = _construct(binding, frame)
+                matcher, info, attributes, content = stack.pop()
+                element = _construct(
+                    binding,
+                    info,
+                    attributes,
+                    content,
+                    info[3],
+                    matcher.state if matcher is not None else 0,
+                    None,
+                )
                 if stack:
-                    parent = stack[-1]
-                    parent.children.append(element)
-                    parent.element_count += 1
+                    stack[-1][3].append(element)
                 else:
                     root = element
             elif kind is DoctypeDecl:
@@ -305,15 +204,17 @@ def _dispatch_table(binding: Binding) -> dict:
     return dispatch
 
 
-def _dispatch_info(schema, class_by_declaration, declaration) -> tuple:
-    """Build one per-declaration dispatch entry: ``(cls, type_definition,
-    structured, dfa, table, content_type, has_required, cinfo)``.
+def _dispatch_info(binding: Binding, declaration) -> tuple:
+    """Build and store one per-declaration dispatch entry: ``(cls,
+    type_definition, structured, dfa, table, content_type, has_required,
+    cinfo, memo)``.
 
     Shared by the event-driven fused walk and the table-driven turbo
     lane; entries live in ``binding._ingest_dispatch`` keyed on
     ``id(declaration)``.
     """
-    cls = class_by_declaration.get(id(declaration))
+    schema = binding.schema
+    cls = binding.class_by_declaration.get(id(declaration))
     if cls is None:
         raise VdomTypeError(
             f"no generated class for declaration '{declaration.name}'"
@@ -330,7 +231,7 @@ def _dispatch_info(schema, class_by_declaration, declaration) -> tuple:
         content_type = None
         structured = False
         has_required = False
-    return (
+    info = (
         cls,
         type_definition,
         structured,
@@ -347,6 +248,8 @@ def _dispatch_info(schema, class_by_declaration, declaration) -> tuple:
         # cached (the error path re-raises identically every time).
         {},
     )
+    _dispatch_table(binding)[id(declaration)] = info
+    return info
 
 
 def _construct_info(cls) -> tuple:
@@ -380,8 +283,24 @@ def _construct_info(cls) -> tuple:
     )
 
 
-def _construct(binding: Binding, frame: _Frame) -> TypedElement:
-    """Allocate the typed element for a completed frame.
+def _construct(
+    binding: Binding,
+    info: tuple,
+    attributes,
+    content: list,
+    automaton,
+    state: int,
+    memo: dict | None,
+) -> TypedElement:
+    """Allocate the typed element for a completed element.
+
+    *info* is its dispatch entry, *attributes* its attributes as written
+    (``xmlns`` declarations are skipped), *content* its children
+    (structured) or character data runs (leaf), and *automaton* the content-model DFA (a
+    :class:`~repro.automata.glushkov.Dfa` or its
+    :class:`~repro.automata.tables.DfaTable` twin, which share state
+    numbering) that stepped the children into *state*.  *memo* is the
+    declaration's accepted-leaf-value memo (the turbo lane's), or None.
 
     Mirrors ``TypedElement.__init__`` as driven by ``Binding.from_dom``
     — same checks, same messages, same ordering — but allocates
@@ -389,7 +308,17 @@ def _construct(binding: Binding, frame: _Frame) -> TypedElement:
     the schema), and the content-model DFA was stepped during parsing,
     so neither is re-run.
     """
-    cls = frame.cls
+    (
+        cls,
+        declared_type,
+        structured,
+        _dfa,
+        _table,
+        content_type,
+        has_required,
+        cinfo,
+        _memo,
+    ) = info
     (
         tag,
         abstract_error,
@@ -399,7 +328,7 @@ def _construct(binding: Binding, frame: _Frame) -> TypedElement:
         fixed,
         lookup,
         defaults,
-    ) = frame.cinfo
+    ) = cinfo
     if abstract_error is not None:
         raise VdomTypeError(abstract_error)
     element = cls.__new__(cls)
@@ -411,10 +340,13 @@ def _construct(binding: Binding, frame: _Frame) -> TypedElement:
 
     nodes = []
     has_text = False
+    element_count = 0
     data = ""
-    if frame.structured:
-        for child in frame.children:
+    if structured:
+        for child in content:
             if child.__class__ is str:
+                if not child.strip():
+                    continue  # white space between child elements
                 node = Text(child, None)
                 node._parent = element
                 nodes.append(node)
@@ -422,8 +354,9 @@ def _construct(binding: Binding, frame: _Frame) -> TypedElement:
             else:
                 child._parent = element
                 nodes.append(child)
+                element_count += 1
     else:
-        data = "".join(frame.text_parts)
+        data = content[0] if len(content) == 1 else "".join(content)
         if data:
             node = Text(data, None)
             node._parent = element
@@ -440,7 +373,9 @@ def _construct(binding: Binding, frame: _Frame) -> TypedElement:
     attrs = attribute_map._attrs
     for key, literal in defaults:
         attribute_map._install(key, literal)
-    for name, value in frame.attributes:
+    for name, value in attributes:
+        if name.startswith("xmlns"):
+            continue  # namespace declarations are not typed content
         key = lookup.get(name)
         if key is None:
             element._attribute_field(name)  # raises "has no attribute"
@@ -452,15 +387,14 @@ def _construct(binding: Binding, frame: _Frame) -> TypedElement:
 
     if binding.validate_on_mutate:
         if is_simple:
-            # Leaf frame: child elements were flattened into *data*, so
-            # only the attribute and value checks of ``_check_simple``
-            # can fire.
+            # Leaf frame: the walks reject child elements as they meet
+            # them, so only the attribute and value checks of
+            # ``_check_simple`` can fire.
             if attrs:
                 raise VdomTypeError(
                     f"<{tag}> has a simple type and may not "
                     "carry attributes"
                 )
-            memo = frame.memo
             if memo is None or data not in memo:
                 try:
                     type_definition.parse(data)
@@ -468,99 +402,70 @@ def _construct(binding: Binding, frame: _Frame) -> TypedElement:
                     raise VdomTypeError(
                         f"content of <{tag}>: {error.message}"
                     )
-                if (
-                    memo is not None
-                    and len(data) <= MEMO_VALUE_LENGTH
-                    and len(memo) < _VALUE_MEMO_LIMIT
-                ):
-                    memo[data] = True
-        elif not is_any:
-            matcher = frame.matcher
-            table = frame.table
-            if (
-                matcher is not None or table is not None
-            ) and type_definition is frame.type_definition:
-                # The live automaton (object matcher or flat table)
-                # already accepted every child in order; only the checks
-                # it cannot subsume remain.  With no attributes present
-                # and none required, the attribute check is a proven
-                # no-op.
-                if attrs or frame.has_required:
-                    element._check_attributes(type_definition)
-                if (
-                    frame.content_type is ContentType.ELEMENT_ONLY
-                    and has_text
-                ):
-                    raise VdomTypeError(
-                        f"<{tag}> has element-only content and "
-                        "may not contain text"
-                    )
-                if table is not None:
-                    state = frame.state
-                    accepted = table.accepting[state] == 1
-                else:
-                    state = matcher.state
-                    accepted = matcher.at_accepting_state()
-                if not accepted:
-                    expected_keys = (
-                        table.expected_keys(state)
-                        if table is not None
-                        else matcher.expected()
-                    )
-                    expected = ", ".join(
-                        f"<{key}>" for key in expected_keys
-                    )
-                    raise VdomTypeError(
-                        f"content of <{tag}> is incomplete; "
-                        f"expected {expected}"
-                    )
-                # Table and object DFAs share state numbering, so the
-                # incremental-append cache resumes either way.
-                element._content_state = (
-                    frame.element_count,
-                    len(nodes),
-                    state,
+                if memo is not None:
+                    _remember(memo, data)
+        elif is_any:
+            pass
+        elif type_definition is not declared_type:
+            # A class whose declared type differs from the matched
+            # declaration's: run the full check, exactly as the typed
+            # constructor would.
+            element._check_complex(type_definition)
+        elif structured:
+            # The automaton already accepted every child in order; only
+            # the checks it cannot subsume remain.  With no attributes
+            # present and none required, the attribute check is a proven
+            # no-op.
+            if attrs or has_required:
+                element._check_attributes(type_definition)
+            if content_type is ContentType.ELEMENT_ONLY and has_text:
+                raise VdomTypeError(
+                    f"<{tag}> has element-only content and "
+                    "may not contain text"
                 )
-            elif not frame.structured and type_definition is frame.type_definition:
-                # Leaf complex frame (EMPTY or SIMPLE content): the checks
-                # of ``_check_complex`` specialized to a childless element
-                # whose text is *data*.
-                if attrs or frame.has_required:
-                    element._check_attributes(type_definition)
-                if frame.content_type is ContentType.EMPTY:
-                    if data.strip():
-                        raise VdomTypeError(
-                            f"<{tag}> must be empty"
-                        )
-                else:  # ContentType.SIMPLE
-                    memo = frame.memo
-                    if memo is None or data not in memo:
-                        try:
-                            type_definition.simple_content.parse(data)
-                        except SimpleTypeError as error:
-                            raise VdomTypeError(
-                                f"content of <{tag}>: "
-                                f"{error.message}"
-                            )
-                        if (
-                            memo is not None
-                            and len(data) <= MEMO_VALUE_LENGTH
-                            and len(memo) < _VALUE_MEMO_LIMIT
-                        ):
-                            memo[data] = True
-            else:
-                # A class whose declared type differs from the matched
-                # declaration's: run the full check, exactly as the typed
-                # constructor would.
-                element._check_complex(type_definition)
+            if not automaton.is_accepting(state):
+                expected = ", ".join(
+                    f"<{key}>" for key in automaton.expected_keys(state)
+                )
+                raise VdomTypeError(
+                    f"content of <{tag}> is incomplete; "
+                    f"expected {expected}"
+                )
+            # Table and object DFAs share state numbering, so the
+            # incremental-append cache resumes either way.
+            element._content_state = (element_count, len(nodes), state)
+        else:
+            # Leaf complex frame (EMPTY or SIMPLE content): the checks
+            # of ``_check_complex`` specialized to a childless element
+            # whose text is *data*.
+            if attrs or has_required:
+                element._check_attributes(type_definition)
+            if content_type is ContentType.EMPTY:
+                if data.strip():
+                    raise VdomTypeError(f"<{tag}> must be empty")
+            elif memo is None or data not in memo:  # ContentType.SIMPLE
+                try:
+                    type_definition.simple_content.parse(data)
+                except SimpleTypeError as error:
+                    raise VdomTypeError(
+                        f"content of <{tag}>: {error.message}"
+                    )
+                if memo is not None:
+                    _remember(memo, data)
         if fixed is not None:
-            content = data if not frame.structured else element.text_content
-            if content != fixed:
+            value = data if not structured else element.text_content
+            if value != fixed:
                 raise VdomTypeError(
                     f"element '{tag}' must have the fixed "
                     f"value {fixed!r}"
                 )
     return element
+
+
+def _remember(memo: dict, value: str) -> None:
+    """Record an accepted leaf value, within the memo's bounds."""
+    if len(value) <= MEMO_VALUE_LENGTH and len(memo) < _VALUE_MEMO_LIMIT:
+        memo[value] = True
 
 
 def _build_attr_tables(cls) -> tuple[dict[str, str], tuple[tuple[str, str], ...]]:

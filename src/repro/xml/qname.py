@@ -18,6 +18,19 @@ XSD_NAMESPACE = "http://www.w3.org/2001/XMLSchema"
 XSI_NAMESPACE = "http://www.w3.org/2001/XMLSchema-instance"
 
 
+def expanded_name(namespace: str | None, local_name: str) -> str:
+    """The matching key for a component: Clark notation when namespaced.
+
+    ``{uri}local`` for components in a namespace, the bare local name
+    otherwise — so schemas without namespaces keep exactly the keys (and
+    the DFA symbol tables, error messages, and cache artifacts) they had
+    before namespace support existed.
+    """
+    if namespace:
+        return f"{{{namespace}}}{local_name}"
+    return local_name
+
+
 @dataclass(frozen=True, order=True)
 class QName:
     """An expanded name: ``(namespace URI, local name)`` plus prefix hint."""

@@ -1,19 +1,27 @@
-"""The turbo token grammar: one regex alternation over a strict XML subset.
+"""The turbo lanes: one regex grammar over a strict XML subset, one loop.
 
-Two hot lanes drive their work straight off the source text instead of
-the :class:`~repro.xml.parser.PullParser` event objects: the typed-tree
+Two hot lanes work straight off the source text instead of the
+:class:`~repro.xml.parser.PullParser` event objects: the typed-tree
 builder (:func:`repro.ingest.table_driven.table_parse`) and the
 verdict-only stepper behind
-:meth:`repro.xsd.stream.StreamingValidator.validate_text`.  Both scan
-with the grammar defined here, so there is exactly one copy of it.
+:meth:`repro.xsd.stream.StreamingValidator.validate_text`.  Both run
+:func:`walk`, the one loop over the grammar defined here.  It owns
+everything the lanes share: the token match, text-run and reference
+flushing, the document-level rules (one root, no text or references
+outside it, balanced tags), ``xmlns`` scope tracking and element keying,
+and the step through each open element's flat
+:class:`~repro.automata.tables.DfaTable`.  A lane contributes a *sink*:
+a ``start`` and an ``end`` callable, one call per tag, that check and
+build what only that lane needs.
 
 The grammar is a *strict subset* of XML 1.0: every document it accepts
-is well-formed and tokenizes exactly as the event parser would.  It
-never reports an error itself.  Anything outside the subset — DOCTYPE,
-CDATA, comments, PIs, single-quoted or reference-bearing attributes,
-``\\r`` line endings, non-ASCII names, general entities, duplicate
-attributes — raises :class:`Restart`, and the caller re-runs the
-document through its event route, which owns every diagnostic.
+is well-formed and tokenizes exactly as the event parser would.  The
+walk never reports an error itself.  Anything outside the subset —
+DOCTYPE, CDATA, comments, PIs, single-quoted or reference-bearing
+attributes, ``\\r`` line endings, non-ASCII names, general entities,
+duplicate attributes — and any failed schema check ends it with a
+reason (a :class:`Restart`), and the caller re-runs the document through
+its event route, which owns every diagnostic.
 
 Both lanes memoize accepted values in structures that outlive the
 document (the typed lane on the cached binding, the verdict lane on the
@@ -25,17 +33,19 @@ from __future__ import annotations
 
 import re
 
-from repro.errors import XmlSyntaxError
+from repro.errors import ReproError, XmlSyntaxError
 from repro.xml.chars import char_class
 from repro.xml.entities import PREDEFINED_ENTITIES, decode_char_reference
+from repro.xml.qname import XML_NAMESPACE, expanded_name
 
 
 class Restart(Exception):
-    """The document left the turbo subset; re-run the event route."""
+    """The walk stopped; re-run the event route.  A sink raises it with
+    the default reason when one of its schema checks fails."""
 
     __slots__ = ("reason",)
 
-    def __init__(self, reason: str):
+    def __init__(self, reason: str = "validation"):
         self.reason = reason
 
 
@@ -134,18 +144,216 @@ def parse_attributes(blob: str) -> list[tuple[str, str]]:
     return attributes
 
 
-def content_attributes(blob: str) -> list[tuple[str, str]]:
-    """:func:`parse_attributes` minus the ``xmlns`` declarations, in one
-    call — the typed lane's per-start-tag step."""
-    attributes = ATTR.findall(blob)
-    if len(attributes) > 1:
-        _reject_duplicates(attributes)
-    return [pair for pair in attributes if not pair[0].startswith("xmlns")]
-
-
 def _reject_duplicates(attributes: list[tuple[str, str]]) -> None:
     seen = set()
     for name, _ in attributes:
         if name in seen:
             raise Restart("duplicate attribute")
         seen.add(name)
+
+
+#: per-scope cap on the cached element keys
+_KEY_MEMO_LIMIT = 1024
+
+
+class Scope:
+    """In-scope ``xmlns`` bindings (prefix -> namespace name, ``""`` for
+    the default namespace), with the element keys resolved under them.
+
+    An element without declarations shares its parent's scope, so the
+    common case (namespace-free documents, or declarations only on the
+    root) allocates nothing per element.
+    """
+
+    __slots__ = ("namespaces", "keys")
+
+    def __init__(self, namespaces: dict[str, str] | None = None):
+        self.namespaces = (
+            {"xml": XML_NAMESPACE} if namespaces is None else namespaces
+        )
+        self.keys: dict[str, str] = {}
+
+    def child(self, attributes) -> "Scope":
+        """The scope inside an element carrying *attributes*."""
+        overrides: dict[str, str] = {}
+        for name, value in attributes:
+            if name == "xmlns":
+                overrides[""] = value
+            elif name.startswith("xmlns:"):
+                overrides[name[len("xmlns:") :]] = value
+        if not overrides:
+            return self
+        return Scope({**self.namespaces, **overrides})
+
+    def element_key(self, name: str) -> str:
+        """Expanded name the element tag *name* matches the components of
+        a namespaced schema under (cached per scope).
+
+        An undeclared prefix keeps the lexical name, and the schema's "no
+        such element" diagnostics do the explaining.
+        """
+        key = self.keys.get(name)
+        if key is None:
+            prefix, colon, local = name.partition(":")
+            if not colon:
+                key = expanded_name(self.namespaces.get("") or None, name)
+            else:
+                uri = self.namespaces.get(prefix)
+                key = name if uri is None else expanded_name(uri, local)
+            if len(name) <= MEMO_VALUE_LENGTH and len(self.keys) < _KEY_MEMO_LIMIT:
+                self.keys[name] = key
+        return key
+
+
+#: the ``content`` of a frame whose descendants are all accepted unread
+#: (``anyType``): the walk only balances their tags
+SKIP = object()
+
+
+def walk(
+    text: str, elements, start, end, scope: Scope, namespaced: bool = False
+):
+    """Drive one sink over *text*: ``(None, value)`` when the whole
+    document went through, ``(reason, None)`` when it left the subset or
+    a check failed.
+
+    *elements* maps keys to the schema's global element declarations;
+    *scope* is the document-level scope, and element names resolve to
+    expanded names under it when *namespaced*.
+    ``start(declaration, attributes, scope)`` runs once per start tag
+    whose declaration the walk matched, and returns the element's frame,
+    a list whose first five slots the walk reads::
+
+        [content, state, texts, blank, scope, ...sink's own slots]
+
+    *content* is the :class:`~repro.automata.tables.DfaTable` child
+    elements step (from *state*), ``None`` when the element admits none,
+    or :data:`SKIP`; character data runs are appended to *texts* unless
+    it is ``None``; *blank* rejects non-white-space text.
+    ``end(frame, parent)`` runs when the element closes (*parent* is
+    ``None`` for the root); what it returns for the root is the walk's
+    *value*.  A sink rejects the document by raising :class:`Restart`
+    or a :class:`~repro.errors.ReproError`.
+    """
+    token_match = TOKEN.match
+    root_scope = scope
+    stack: list[list] = []
+    open_names: list[str] = []
+    pending: list[str] = []
+    skip_depth = 0  # open elements below a SKIP frame
+    seen_root = False
+    root = None
+    try:
+        text, pos = prologue(text)
+        length = len(text)
+        while pos < length:
+            match = token_match(text, pos)
+            if match is None:
+                raise Restart("tokenizer")
+            pos = match.end()
+            kind = match.lastindex
+            if kind == 1:  # text run
+                pending.append(match[1])
+                continue
+            if kind == 6:  # reference
+                if not stack:
+                    raise Restart("reference outside content")
+                pending.append(decode_reference(match[6]))
+                continue
+            # A tag boundary: flush the accumulated run as ONE data unit,
+            # as the event parser emits one Characters per inter-markup
+            # run, references joined in.
+            if pending:
+                data = pending[0] if len(pending) == 1 else "".join(pending)
+                pending.clear()
+                if stack:
+                    frame = stack[-1]
+                    if frame[3] and data.strip():
+                        raise Restart()
+                    texts = frame[2]
+                    if texts is not None:
+                        texts.append(data)
+                elif data.strip(" \t\n"):
+                    # Non-white-space character data outside the root (the
+                    # parser's white-space production, not str.strip()'s).
+                    raise Restart("text outside root")
+            if kind == 4:  # start tag
+                name = match[2]
+                blob = match[3]
+                attributes = parse_attributes(blob) if blob else ()
+                if stack:
+                    parent = stack[-1]
+                    table = parent[0]
+                    if table is None:
+                        raise Restart()  # no child elements allowed
+                    if table is SKIP:
+                        if not match[4]:
+                            skip_depth += 1
+                            open_names.append(name)
+                        continue
+                elif seen_root:
+                    raise Restart("multiple root elements")
+                else:
+                    parent = None
+                if attributes and "xmlns" in blob:
+                    scope = scope.child(attributes)
+                if namespaced:
+                    key = scope.keys.get(name)
+                    if key is None:
+                        key = scope.element_key(name)
+                else:
+                    key = name
+                if parent is not None:
+                    sym = table.symbol_ids.get(key)
+                    if sym is None:
+                        raise Restart()
+                    cell = parent[1] * table.n_symbols + sym
+                    target = table.nxt[cell]
+                    if target < 0:
+                        raise Restart()
+                    parent[1] = target
+                    declaration = table.payloads[table.pay[cell]]
+                else:
+                    seen_root = True
+                    declaration = elements.get(key)
+                    if declaration is None or declaration.abstract:
+                        raise Restart()
+                frame = start(declaration, attributes, scope)
+                if match[4]:  # self-closing
+                    if parent is not None:
+                        end(frame, parent)
+                        scope = parent[4]
+                    else:
+                        root = end(frame, None)
+                        scope = root_scope
+                else:
+                    stack.append(frame)
+                    open_names.append(name)
+            else:  # kind == 5: end tag
+                name = match[5]
+                if not open_names or open_names[-1] != name:
+                    raise Restart("tag mismatch")
+                open_names.pop()
+                if skip_depth:
+                    skip_depth -= 1
+                    continue
+                frame = stack.pop()
+                if stack:
+                    parent = stack[-1]
+                    end(frame, parent)
+                    scope = parent[4]
+                else:
+                    root = end(frame, None)
+                    scope = root_scope
+        if open_names:
+            raise Restart("unclosed element")
+        if not seen_root:
+            raise Restart("no root element")
+        if pending and "".join(pending).strip(" \t\n"):
+            raise Restart("text outside root")
+    except Restart as restart:
+        return restart.reason, None
+    except ReproError:
+        # A value failed its simple type, or the typed tree refused it.
+        return "validation", None
+    return None, root

@@ -24,22 +24,10 @@ from repro.automata import (
     build_dfa,
 )
 from repro.automata.rex import UNBOUNDED
+from repro.xml.qname import expanded_name
 from repro.xsd.simple import SimpleType
 
 TypeDefinition = Union[SimpleType, "ComplexType"]
-
-
-def expanded_name(namespace: str | None, local_name: str) -> str:
-    """The matching key for a component: Clark notation when namespaced.
-
-    ``{uri}local`` for components in a namespace, the bare local name
-    otherwise — so schemas without namespaces keep exactly the keys (and
-    the DFA symbol tables, error messages, and cache artifacts) they had
-    before namespace support existed.
-    """
-    if namespace:
-        return f"{{{namespace}}}{local_name}"
-    return local_name
 
 
 class Compositor(enum.Enum):

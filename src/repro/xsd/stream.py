@@ -16,16 +16,17 @@ prefix keeps its conventional meaning for legacy documents), and
 diagnostics for namespaced schemas name elements in Clark notation.
 
 :meth:`StreamingValidator.validate_text` runs a verdict-only *turbo
-route* first.  It scans the text with the shared turbo grammar
-(:mod:`repro.xml.turbo`) and steps the flat
-:class:`~repro.automata.tables.DfaTable` arrays directly — no event
-objects, no locations, no per-element frames beyond a small list.  It
-returns ``[]`` only when it has proven the document well-formed and
-schema-valid under every check the event walk makes; on any deviation
-it gives up and the document is re-run through
-``validate_events(PullParser(text))``, which stays the only producer of
-error lists.  Messages, paths, line/column and syntax-over-validity
-precedence are therefore those of the event walk, by construction.
+route* first: the validator is a sink of :func:`repro.xml.turbo.walk`,
+the loop the typed turbo build shares, which scans the text with the
+turbo grammar and steps the flat :class:`~repro.automata.tables.DfaTable`
+arrays directly — no event objects, no locations, one small list per
+open element.  It returns ``[]`` only when it has proven the document
+well-formed and schema-valid under every check the event walk makes; on
+any deviation it gives up and the document is re-run through
+``validate_events(PullParser(text))``, the event walk over the object
+DFAs' matchers, which stays the only producer of error lists.  Messages,
+paths, line/column and syntax-over-validity precedence are therefore
+those of the event walk, by construction.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro import obs
-from repro.errors import ReproError, SimpleTypeError, ValidationError
+from repro.errors import SimpleTypeError, ValidationError
 from repro.xml.events import (
     Characters,
     EndElement,
@@ -41,15 +42,8 @@ from repro.xml.events import (
     StartElement,
 )
 from repro.xml.parser import PullParser
-from repro.xml.qname import XML_NAMESPACE, XSI_NAMESPACE
-from repro.xml.turbo import (
-    MEMO_VALUE_LENGTH,
-    TOKEN,
-    Restart,
-    decode_reference,
-    parse_attributes,
-    prologue,
-)
+from repro.xml.qname import XSI_NAMESPACE
+from repro.xml.turbo import MEMO_VALUE_LENGTH, SKIP, Restart, Scope, walk
 from repro.xsd.components import (
     ANY_TYPE,
     ComplexType,
@@ -92,64 +86,27 @@ class _Frame:
         self.skip = skip  # inside anyType: accept everything below
 
 
-class _EventNamespaces:
-    """In-scope ``xmlns`` bindings, one frame per open element.
-
-    Frames without declarations share their parent's dict, so the common
-    case (namespace-free documents, or declarations only on the root)
-    costs one list append per element.
-    """
-
-    __slots__ = ("_stack",)
-
-    def __init__(self) -> None:
-        self._stack: list[dict[str, str]] = [{"xml": XML_NAMESPACE}]
-
-    def push(self, attributes: tuple[tuple[str, str], ...]) -> None:
-        top = self._stack[-1]
-        overrides = _xmlns_overrides(attributes)
-        self._stack.append({**top, **overrides} if overrides else top)
-
-    def pop(self) -> None:
-        self._stack.pop()
-
-    def get(self, prefix: str) -> str | None:
-        return self._stack[-1].get(prefix)
-
-
-def _xmlns_overrides(attributes) -> dict[str, str]:
-    """Prefix -> namespace bindings an element's attributes declare
-    (``""`` for the default namespace)."""
-    overrides: dict[str, str] = {}
-    for name, value in attributes:
-        if name == "xmlns":
-            overrides[""] = value
-        elif name.startswith("xmlns:"):
-            overrides[name[len("xmlns:") :]] = value
-    return overrides
-
-
 class StreamingValidator:
     """Validate event streams against one schema.
 
-    Content models are stepped through flat integer transition tables
-    (:class:`repro.automata.DfaTable`) by default; ``use_tables=False``
-    selects the object-DFA matchers instead, and also turns the turbo
-    route off, so :meth:`validate_text` always takes the event walk
-    (counted as ``xsd.stream.route{route=events,reason=object-dfa}``).
-    Both settings produce identical verdicts, messages, and orderings
-    (the parity suites hold them together) — the flag exists so tests
-    can pin the golden reference route.
+    The event walk (:meth:`validate_events`, and :meth:`validate_text`
+    for documents the turbo route does not prove valid) steps the object
+    DFAs' matchers; the turbo route steps their flat
+    :class:`~repro.automata.tables.DfaTable` twins.  Which route
+    :meth:`validate_text` took is counted as
+    ``xsd.stream.route{route=turbo}`` or
+    ``xsd.stream.route{route=events,reason=...}``, the reason being why
+    the turbo walk stopped.
     """
 
-    def __init__(self, schema: Schema, *, use_tables: bool = True):
+    def __init__(self, schema: Schema):
         self._schema = schema
-        self._use_tables = use_tables
         self._namespaced = schema.uses_namespaces
-        # Turbo-route state, built lazily and shared across documents:
-        # per-(declaration, type) checks and the document-level scope.
+        # State shared across documents: the turbo route's
+        # per-(declaration, type) checks, and the document-level scope
+        # whose element keys both routes cache.
         self._decls: dict = {}
-        self._root_scope = _Scope({"xml": XML_NAMESPACE})
+        self._root_scope = Scope()
 
     # -- entry points ---------------------------------------------------------
 
@@ -161,7 +118,14 @@ class StreamingValidator:
         event walk, which produces the error list.
         """
         with obs.span("xsd.stream.validate"):
-            reason = self._prove_valid(text) if self._use_tables else "object-dfa"
+            reason, _ = walk(
+                text,
+                self._schema.elements,
+                self._open,
+                self._close,
+                self._root_scope,
+                self._namespaced,
+            )
             if reason is None:
                 obs.count("xsd.stream.route", route="turbo")
                 errors: list[ValidationError] = []
@@ -181,14 +145,15 @@ class StreamingValidator:
     def _walk(self, events: Iterable[Event]) -> list[ValidationError]:
         errors: list[ValidationError] = []
         stack: list[_Frame] = []
-        namespaces = _EventNamespaces()
+        scopes = [self._root_scope]
         for event in events:
             if isinstance(event, StartElement):
-                namespaces.push(event.attributes)
-                self._start(event, stack, errors, namespaces)
+                scope = scopes[-1].child(event.attributes)
+                scopes.append(scope)
+                self._start(event, stack, errors, scope)
             elif isinstance(event, EndElement):
                 self._end(stack, errors)
-                namespaces.pop()
+                scopes.pop()
             elif isinstance(event, Characters):
                 self._characters(event, stack, errors)
             # comments / PIs / doctype / declarations are transparent
@@ -196,134 +161,46 @@ class StreamingValidator:
 
     # -- the turbo route ----------------------------------------------------------
 
-    def _prove_valid(self, text: str) -> str | None:
-        """``None`` when *text* is proven valid, else why the proof
-        stopped (the document then takes the event walk)."""
-        try:
-            self._turbo_walk(text)
-        except Restart as restart:
-            return restart.reason
-        except ReproError:
-            # A leaf or attribute value failed its simple type (the event
-            # walk reports it, or whatever else it finds first).
-            return "validation"
-        return None
+    def _open(
+        self, declaration: ElementDeclaration, attributes, scope: Scope
+    ) -> list:
+        """The turbo route's ``start``: ``_start``/``_push``/
+        ``_check_attributes`` for one start tag."""
+        decl = self._decls.get(id(declaration))
+        if decl is None:
+            decl = self._decl(declaration, None)
+        if attributes or decl.guarded:
+            decl = self._start_checks(decl, attributes, scope)
+        return [
+            decl.content,
+            0,
+            [] if decl.collect else None,
+            decl.blank,
+            scope,
+            decl,
+        ]
 
-    def _turbo_walk(self, text: str) -> None:
-        """Raise :class:`Restart` unless *text* is well-formed (inside the
-        turbo subset) and valid.  Mirrors the event walk check for
-        check: ``_start``/``_push``/``_check_attributes`` on start tags,
-        ``_characters`` on text runs, ``_end`` on end tags."""
-        text, pos = prologue(text)
-        elements = self._schema.elements
-        decls = self._decls
-        namespaced = self._namespaced
-        token_match = TOKEN.match
-        length = len(text)
-        root_scope = scope = self._root_scope
-        # one [decl, DFA state, text runs or None, scope] per open element
-        stack: list[list] = []
-        open_names: list[str] = []
-        pending: list[str] = []
-        skip_depth = 0  # open elements below an anyType element
-        seen_root = False
-        while pos < length:
-            match = token_match(text, pos)
-            if match is None:
-                raise Restart("tokenizer")
-            pos = match.end()
-            kind = match.lastindex
-            if kind == 1:  # text run
-                pending.append(match[1])
-                continue
-            if kind == 6:  # reference
-                if not stack:
-                    raise Restart("reference outside content")
-                pending.append(decode_reference(match[6]))
-                continue
-            # A tag boundary: the accumulated run is one Characters event.
-            if pending:
-                data = pending[0] if len(pending) == 1 else "".join(pending)
-                pending.clear()
-                if stack:
-                    frame = stack[-1]
-                    if frame[0].blank and data.strip():
-                        raise Restart("validation")
-                    texts = frame[2]
-                    if texts is not None:
-                        texts.append(data)
-                elif data.strip(" \t\n"):
-                    raise Restart("text outside root")
-            if kind == 4:  # start tag
-                name = match[2]
-                blob = match[3]
-                closed = match[4]
-                attributes = parse_attributes(blob) if blob else None
-                if stack:
-                    parent = stack[-1]
-                    table = parent[0].table
-                    if table is None:
-                        if parent[0].skip:
-                            if not closed:
-                                skip_depth += 1
-                                open_names.append(name)
-                            continue
-                        raise Restart("validation")  # no children allowed
-                elif seen_root:
-                    raise Restart("multiple root elements")
-                if attributes and "xmlns" in blob:
-                    scope = scope.child(attributes)
-                if namespaced:
-                    key = scope.keys.get(name)
-                    if key is None:
-                        key = scope.element_key(name)
-                else:
-                    key = name
-                if stack:
-                    sym = table.symbol_ids.get(key)
-                    if sym is None:
-                        raise Restart("validation")
-                    cell = parent[1] * table.n_symbols + sym
-                    target = table.nxt[cell]
-                    if target < 0:
-                        raise Restart("validation")
-                    parent[1] = target
-                    declaration = table.payloads[table.pay[cell]]
-                else:
-                    seen_root = True
-                    declaration = elements.get(key)
-                    if declaration is None or declaration.abstract:
-                        raise Restart("validation")
-                decl = decls.get(id(declaration))
-                if decl is None:
-                    decl = self._decl(declaration, None)
-                if attributes or decl.guarded:
-                    decl = self._start_checks(decl, attributes, scope)
-                if closed:
-                    _finish(decl, 0, None)
-                    scope = stack[-1][3] if stack else root_scope
-                else:
-                    stack.append(
-                        [decl, 0, [] if decl.collect else None, scope]
-                    )
-                    open_names.append(name)
-            else:  # kind == 5: end tag
-                name = match[5]
-                if not open_names or open_names[-1] != name:
-                    raise Restart("tag mismatch")
-                open_names.pop()
-                if skip_depth:
-                    skip_depth -= 1
-                    continue
-                frame = stack.pop()
-                _finish(frame[0], frame[1], frame[2])
-                scope = stack[-1][3] if stack else root_scope
-        if open_names:
-            raise Restart("unclosed element")
-        if not seen_root:
-            raise Restart("no root element")
-        if pending and "".join(pending).strip(" \t\n"):
-            raise Restart("text outside root")
+    @staticmethod
+    def _close(frame: list, parent) -> None:
+        """The turbo route's ``end``, ``_end``'s checks: content accepted,
+        leaf value and element ``fixed`` value proven."""
+        decl = frame[5]
+        table = decl.table
+        if table is not None and not table.accepting[frame[1]]:
+            raise Restart()
+        texts = frame[2]
+        if texts is None:
+            return
+        text = texts[0] if len(texts) == 1 else "".join(texts)
+        leaf = decl.leaf
+        if leaf is not None:
+            memo = decl.memo
+            if text not in memo:
+                leaf.parse(text)
+                if len(text) <= MEMO_VALUE_LENGTH and len(memo) < _VALUE_MEMO_LIMIT:
+                    memo.add(text)
+        if decl.fixed is not None and text != decl.fixed:
+            raise Restart()
 
     def _decl(self, declaration: ElementDeclaration, override) -> "_Decl":
         """The turbo route's checks for *declaration*, typed by its
@@ -341,9 +218,7 @@ class StreamingValidator:
             self._decls[key] = decl
         return decl
 
-    def _start_checks(
-        self, decl: "_Decl", attributes, scope: "_Scope"
-    ) -> "_Decl":
+    def _start_checks(self, decl: "_Decl", attributes, scope: Scope) -> "_Decl":
         """``_push``/``_check_attributes`` for one start tag: resolve
         ``xsi:type`` (returning the overriding checks) and prove every
         attribute declared, fixed-equal, lexically valid, and every
@@ -368,16 +243,16 @@ class StreamingValidator:
             if candidate is None or not _derives_from(
                 candidate, decl.type_definition
             ):
-                raise Restart("validation")
+                raise Restart()
             decl = self._decl(decl.declaration, candidate)
         if decl.skip:
             return decl  # anyType: attributes go unchecked
         if decl.abstract:
-            raise Restart("validation")
+            raise Restart()
         uses = decl.attribute_checks
         if uses is None:  # simple type: no attributes at all
             if items:
-                raise Restart("validation")
+                raise Restart()
             return decl
         required = decl.required
         # A set of resolved keys: two prefixes bound to one namespace
@@ -386,11 +261,11 @@ class StreamingValidator:
         for _, key, value in items:
             check = uses.get(key)
             if check is None:
-                raise Restart("validation")
+                raise Restart()
             fixed, simple_type, memo = check
             if value not in memo:
                 if fixed is not None and value != fixed:
-                    raise Restart("validation")
+                    raise Restart()
                 simple_type.parse(value)
                 if (
                     len(value) <= MEMO_VALUE_LENGTH
@@ -400,18 +275,12 @@ class StreamingValidator:
             if seen is not None:
                 seen.add(key)
         if required and not required <= seen:
-            raise Restart("validation")
+            raise Restart()
         return decl
 
     # -- namespace resolution ---------------------------------------------------
 
-    def _event_key(self, event: StartElement, namespaces: _EventNamespaces) -> str:
-        """Expanded name the event matches schema components under."""
-        return _element_key(event.name, namespaces, self._namespaced)
-
-    def _xsi_type_key(
-        self, type_name: str, namespaces: _EventNamespaces
-    ) -> str:
+    def _xsi_type_key(self, type_name: str, namespaces: dict[str, str]) -> str:
         """Resolve the QName *value* of ``xsi:type`` to a type key."""
         if not self._namespaced:
             return type_name.rpartition(":")[2]
@@ -430,9 +299,9 @@ class StreamingValidator:
         event: StartElement,
         stack: list[_Frame],
         errors: list[ValidationError],
-        namespaces: _EventNamespaces,
+        scope: Scope,
     ) -> None:
-        key = self._event_key(event, namespaces)
+        key = scope.element_key(event.name) if self._namespaced else event.name
         if not stack:
             declaration = self._schema.elements.get(key)
             if declaration is None:
@@ -454,9 +323,7 @@ class StreamingValidator:
                         event.location,
                     )
                 )
-            self._push(
-                event, declaration, key, f"/{key}", stack, errors, namespaces
-            )
+            self._push(event, declaration, key, f"/{key}", stack, errors, scope)
             return
         parent = stack[-1]
         path = f"{parent.path}/{key}"
@@ -491,7 +358,7 @@ class StreamingValidator:
             stack.append(_Frame(None, ANY_TYPE, None, None, path, True))
             return
         assert isinstance(matched, ElementDeclaration)
-        self._push(event, matched, key, path, stack, errors, namespaces)
+        self._push(event, matched, key, path, stack, errors, scope)
 
     def _push(
         self,
@@ -501,8 +368,9 @@ class StreamingValidator:
         path: str,
         stack: list[_Frame],
         errors: list[ValidationError],
-        namespaces: _EventNamespaces,
+        scope: Scope,
     ) -> None:
+        namespaces = scope.namespaces
         type_definition = declaration.resolved_type()
         override = _xsi_type_value(event.attributes, namespaces)
         if override is not None:
@@ -549,14 +417,7 @@ class StreamingValidator:
                     ContentType.ELEMENT_ONLY,
                     ContentType.MIXED,
                 ):
-                    if self._use_tables:
-                        matcher = self._schema.content_table(
-                            type_definition
-                        ).matcher()
-                    else:
-                        matcher = self._schema.content_dfa(
-                            type_definition
-                        ).matcher()
+                    matcher = self._schema.content_dfa(type_definition).matcher()
                 self._check_attributes(
                     event, type_definition, display, path, errors, namespaces
                 )
@@ -672,7 +533,7 @@ class StreamingValidator:
         display: str,
         path: str,
         errors: list[ValidationError],
-        namespaces: _EventNamespaces,
+        namespaces: dict[str, str],
     ) -> None:
         uses = complex_type.effective_attribute_uses()
         seen: set[str] = set()
@@ -723,26 +584,6 @@ class StreamingValidator:
                 )
 
 
-def _element_key(name: str, namespaces, namespaced: bool) -> str:
-    """Expanded name an element tag matches schema components under.
-
-    Lexical tag name for namespace-free schemas (the pre-namespace
-    behavior, byte for byte) and for undeclared prefixes, where the
-    schema's "no such element" diagnostics do the explaining.
-    *namespaces* maps in-scope prefixes to namespace names (``""`` is
-    the default namespace).
-    """
-    if not namespaced:
-        return name
-    prefix, colon, local = name.partition(":")
-    if not colon:
-        return expanded_name(namespaces.get("") or None, name)
-    uri = namespaces.get(prefix)
-    if uri is None:
-        return name
-    return expanded_name(uri, local)
-
-
 def _attribute_items(attributes, namespaces) -> list[tuple[str, str, str]]:
     """(lexical name, matching key, value) for schema-checked attributes.
 
@@ -791,31 +632,6 @@ def _tally(errors: list[ValidationError]) -> list[ValidationError]:
     return errors
 
 
-class _Scope:
-    """In-scope ``xmlns`` bindings for the turbo route, with the element
-    keys already resolved under them."""
-
-    __slots__ = ("namespaces", "keys")
-
-    def __init__(self, namespaces: dict[str, str]):
-        self.namespaces = namespaces
-        self.keys: dict[str, str] = {}
-
-    def child(self, attributes) -> "_Scope":
-        """The scope inside an element carrying *attributes*."""
-        overrides = _xmlns_overrides(attributes)
-        if not overrides:
-            return self
-        return _Scope({**self.namespaces, **overrides})
-
-    def element_key(self, name: str) -> str:
-        """``_element_key`` for a namespaced schema, cached per scope."""
-        key = _element_key(name, self.namespaces, True)
-        if len(name) <= MEMO_VALUE_LENGTH and len(self.keys) < _VALUE_MEMO_LIMIT:
-            self.keys[name] = key
-        return key
-
-
 class _Decl:
     """What the turbo route checks for one declaration under one type."""
 
@@ -825,6 +641,7 @@ class _Decl:
         "skip",
         "abstract",
         "table",
+        "content",
         "attribute_checks",
         "required",
         "guarded",
@@ -872,34 +689,13 @@ class _Decl:
             self.required = frozenset(
                 key for key, use in uses.items() if use.required
             )
+        #: what the walk steps child elements through
+        self.content = SKIP if self.skip else self.table
         #: start tags without attributes still need _start_checks
         self.guarded = bool(self.required) or self.abstract
         self.collect = not self.skip and (
             self.leaf is not None or self.fixed is not None
         )
-
-
-def _finish(decl: _Decl, state: int, texts: list[str] | None) -> None:
-    """``_end`` for the turbo route: content accepted, leaf value and
-    element ``fixed`` value proven."""
-    table = decl.table
-    if table is not None and not table.accepting[state]:
-        raise Restart("validation")
-    if texts is None:
-        if not decl.collect:
-            return
-        text = ""
-    else:
-        text = texts[0] if len(texts) == 1 else "".join(texts)
-    leaf = decl.leaf
-    if leaf is not None:
-        memo = decl.memo
-        if text not in memo:
-            leaf.parse(text)
-            if len(text) <= MEMO_VALUE_LENGTH and len(memo) < _VALUE_MEMO_LIMIT:
-                memo.add(text)
-    if decl.fixed is not None and text != decl.fixed:
-        raise Restart("validation")
 
 
 def _name_of(frame: _Frame) -> str:

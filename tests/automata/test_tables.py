@@ -88,35 +88,6 @@ class TestSyntheticParity:
         for word in WORDS:
             assert table.accepts(word) == dfa.accepts(word), word
 
-    @pytest.mark.parametrize("name", sorted(REGEXES))
-    def test_matcher_walks_identically(self, name):
-        dfa = build_dfa(REGEXES[name])
-        table = DfaTable.from_dfa(dfa)
-        for word in WORDS:
-            object_matcher = dfa.matcher()
-            table_matcher = table.matcher()
-            for key in word:
-                object_step = object_matcher.step(key)
-                table_step = table_matcher.step(key)
-                assert (object_step is None) == (table_step is None)
-                if object_step is not None:
-                    assert table_step is object_step
-                # A failed step leaves both matchers in place.
-                assert table_matcher.state == object_matcher.state
-                assert (
-                    table_matcher.at_accepting_state()
-                    == object_matcher.at_accepting_state()
-                )
-                assert table_matcher.expected() == object_matcher.expected()
-
-    def test_matcher_reset(self):
-        table = DfaTable.from_dfa(build_dfa(REGEXES["sequence"]))
-        matcher = table.matcher()
-        assert matcher.step("a") is not None
-        assert matcher.state != 0
-        matcher.reset()
-        assert matcher.state == 0
-
 
 class TestSchemaParity:
     """Every content model of the bundled schemas, table vs object."""

@@ -116,6 +116,8 @@ def test_plain_and_compact_payloads_load_the_same_binding(family, tmp_path):
     for name, path, expected in corpus_runner.iter_instances(case_dir):
         with open(path, encoding="utf-8") as handle:
             document = handle.read()
-        verdicts = [corpus_runner._verdict(v, document) for v in validators]
+        verdicts = [
+            corpus_runner._verdict(v.validate_text, document) for v in validators
+        ]
         assert verdicts[0] == verdicts[1], name
         assert verdicts[0]["valid"] is expected, name

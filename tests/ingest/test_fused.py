@@ -19,6 +19,7 @@ from repro.schemas import (
     XHTML_SUBSET_SCHEMA,
 )
 from repro.schemas.purchase_order import PURCHASE_ORDER_INVALID_DOCUMENTS
+from repro.xsd import StreamingValidator, parse_schema
 
 XHTML_DOCUMENT = """\
 <html>
@@ -211,3 +212,78 @@ class TestPostParseMutation:
             fused.set_attribute("orderDate", "not a date")
         fused.set_attribute("orderDate", "2001-02-03")
         assert fused.get_attribute("orderDate") == "2001-02-03"
+
+
+#: a schema whose only leaf has simple content (a complex type with text
+#: and attributes, but no child elements)
+SIMPLE_CONTENT_SCHEMA = """\
+<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="doc">
+    <xsd:complexType>
+      <xsd:sequence>
+        <xsd:element name="price" type="Price"/>
+      </xsd:sequence>
+    </xsd:complexType>
+  </xsd:element>
+  <xsd:complexType name="Price">
+    <xsd:simpleContent>
+      <xsd:extension base="xsd:decimal">
+        <xsd:attribute name="currency" type="xsd:string"/>
+      </xsd:extension>
+    </xsd:simpleContent>
+  </xsd:complexType>
+</xsd:schema>
+"""
+
+#: (schema, document, the typed constructor's message) — a child element
+#: under an element whose type admits none
+LEAF_CHILDREN = {
+    "simple-type": (
+        PURCHASE_ORDER_SCHEMA,
+        PURCHASE_ORDER_DOCUMENT.replace(
+            "<comment>Hurry, my lawn is going wild</comment>",
+            "<comment><b>x</b></comment>",
+        ),
+        "<comment> has a simple type and may not contain child elements",
+    ),
+    "simple-type-mixed": (
+        PURCHASE_ORDER_SCHEMA,
+        PURCHASE_ORDER_DOCUMENT.replace(
+            "<comment>Hurry, my lawn is going wild</comment>",
+            "<comment>Hurry, <b>my <i>lawn</i></b> is going wild</comment>",
+        ),
+        "<comment> has a simple type and may not contain child elements",
+    ),
+    "empty-content": (
+        XHTML_SUBSET_SCHEMA,
+        XHTML_DOCUMENT.replace("<br/>", "<br><i/></br>"),
+        "<br> must be empty",
+    ),
+    "simple-content": (
+        SIMPLE_CONTENT_SCHEMA,
+        '<doc><price currency="EUR">1.5<sup/></price></doc>',
+        "<price> has simple content and may not contain child elements",
+    ),
+}
+
+
+class TestLeafChildren:
+    """Every typed route rejects a child element under a leaf with the
+    typed constructor's message (``from_dom`` once flattened the subtree
+    to text), and the verdict lane rejects the same documents."""
+
+    @pytest.mark.parametrize("name", sorted(LEAF_CHILDREN))
+    def test_rejected_by_every_route(self, name):
+        schema_text, text, message = LEAF_CHILDREN[name]
+        binding = bind(schema_text)
+        for route in (parse_typed, fused_parse, legacy_parse):
+            with pytest.raises(VdomTypeError) as caught:
+                route(binding, text)
+            assert str(caught.value) == message, route.__name__
+        assert StreamingValidator(parse_schema(schema_text)).validate_text(text)
+
+    def test_simple_content_text_accepted(self):
+        binding = bind(SIMPLE_CONTENT_SCHEMA)
+        text = '<doc><price currency="EUR">1.5</price></doc>'
+        for route in (parse_typed, fused_parse, legacy_parse):
+            assert serialize(route(binding, text)) == text

@@ -1,8 +1,8 @@
 """The table-driven turbo lane against the object-DFA golden reference.
 
 The turbo lane's contract is *observational equality* with
-``fused_parse(use_tables=False)`` — the object-DFA route preserved as
-the golden reference: identical trees (byte-identical serialization)
+``fused_parse`` — the object-DFA route preserved as the golden
+reference: identical trees (byte-identical serialization)
 for accepted documents, identical exception type, message, location,
 and path for rejected ones.  It earns that equality either by handling
 a document inside its subset bit-for-bit, or by restarting into
@@ -35,6 +35,7 @@ from repro.schemas import (
 )
 from repro.schemas.purchase_order import PURCHASE_ORDER_INVALID_DOCUMENTS
 from repro.xml.turbo import MEMO_VALUE_LENGTH
+from repro.xsd import StreamingValidator
 from tests.xml.test_line_endings import CRLF_PURCHASE_ORDER, GOLDEN
 from tests.xml.test_parser import _expansion_bomb
 from tests.xml.test_scanner_parity import ILL_FORMED, WELL_FORMED
@@ -76,9 +77,7 @@ def _outcome(route, binding, text):
 
 
 def _assert_parity(binding, text):
-    golden = _outcome(
-        lambda b, t: fused_parse(b, t, use_tables=False), binding, text
-    )
+    golden = _outcome(fused_parse, binding, text)
     assert _outcome(table_parse, binding, text) == golden
 
 
@@ -167,6 +166,107 @@ class TestTurboHits:
         assert serialize(tree) == serialize(fused_parse(xhtml_binding, text))
 
 
+#: (document, the reason both turbo lanes stop on it)
+RESTARTS = {
+    "tag-mismatch": (
+        PURCHASE_ORDER_DOCUMENT.replace("</comment>", "</comments>"),
+        "tag mismatch",
+    ),
+    "multiple-roots": (
+        PURCHASE_ORDER_DOCUMENT + "<purchaseOrder/>",
+        "multiple root elements",
+    ),
+    "text-before-root": (
+        "stray" + PURCHASE_ORDER_DOCUMENT,
+        "text outside root",
+    ),
+    "text-after-root": (
+        PURCHASE_ORDER_DOCUMENT + "stray",
+        "text outside root",
+    ),
+    "reference-outside-content": (
+        "&amp;" + PURCHASE_ORDER_DOCUMENT,
+        "reference outside content",
+    ),
+    "unclosed": (
+        PURCHASE_ORDER_DOCUMENT.replace("</purchaseOrder>", ""),
+        "unclosed element",
+    ),
+    "no-root": (" \n", "no root element"),
+    "tokenizer": (
+        PURCHASE_ORDER_DOCUMENT.replace(
+            'orderDate="1999-10-20"', "orderDate='1999-10-20'"
+        ),
+        "tokenizer",
+    ),
+    "hazard": (
+        PURCHASE_ORDER_DOCUMENT.replace("<comment>", "<!-- x --><comment>"),
+        "hazard",
+    ),
+    "duplicate-attribute": (
+        PURCHASE_ORDER_DOCUMENT.replace(
+            '<shipTo country="US">', '<shipTo country="US" country="US">'
+        ),
+        "duplicate attribute",
+    ),
+    "entity-reference": (
+        PURCHASE_ORDER_DOCUMENT.replace("Hurry", "&hurry;"),
+        "entity reference",
+    ),
+    "character-reference": (
+        PURCHASE_ORDER_DOCUMENT.replace("Hurry", "&#0;"),
+        "character reference",
+    ),
+    "validation": (
+        PURCHASE_ORDER_DOCUMENT.replace("<comment>", "<remark/><comment>"),
+        "validation",
+    ),
+}
+
+
+class TestRestartReasons:
+    """The typed build and the verdict lane share one turbo walk, so a
+    document leaves both for the same reason."""
+
+    @pytest.fixture()
+    def counters(self):
+        obs.enable(reset=True)
+        yield lambda: obs.snapshot()["counters"]
+        obs.disable()
+        obs.reset()
+
+    @staticmethod
+    def _reasons(counters, name):
+        """The ``reason`` label of every *name* counter."""
+        reasons = []
+        for key in counters:
+            if key.startswith(name + "{"):
+                labels = dict(
+                    pair.split("=", 1)
+                    for pair in key[len(name) + 1 : -1].split(",")
+                )
+                if "reason" in labels:
+                    reasons.append(labels["reason"])
+        return reasons
+
+    @pytest.mark.parametrize("name", sorted(RESTARTS))
+    def test_same_reason(self, po_binding, counters, name):
+        text, reason = RESTARTS[name]
+        assert text != PURCHASE_ORDER_DOCUMENT
+        validator = StreamingValidator(po_binding.schema)
+        for route in (
+            lambda: table_parse(po_binding, text),
+            lambda: validator.validate_text(text),
+        ):
+            try:
+                route()
+            except ReproError:
+                pass
+        snapshot = counters()
+        assert self._reasons(snapshot, "ingest.turbo") == [reason], snapshot
+        assert self._reasons(snapshot, "xsd.stream.route") == [reason], snapshot
+
+
 class TestMemoBounds:
     """The accepted-leaf-value memos live on the cached binding and take
     untrusted input, so only short values are stored."""
@@ -234,8 +334,7 @@ class TestStructuralIndex:
             "PURCHASE_ORDER_DOCUMENT\n"
             "binding = bind(PURCHASE_ORDER_SCHEMA)\n"
             "assert serialize(table_parse(binding, PURCHASE_ORDER_DOCUMENT))"
-            " == serialize(fused_parse(binding, PURCHASE_ORDER_DOCUMENT,"
-            " use_tables=False))\n"
+            " == serialize(fused_parse(binding, PURCHASE_ORDER_DOCUMENT))\n"
             "print('no-numpy-ok')\n"
         )
         completed = _run_script(script)

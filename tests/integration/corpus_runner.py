@@ -9,10 +9,12 @@ Each family under ``corpus/`` is a directory with::
 ``run_case`` binds the family once per lane and validates each instance
 through:
 
-* ``object``   — :class:`StreamingValidator` over the object DFAs,
-* ``table``    — :class:`StreamingValidator` over the flat integer tables,
+* ``events``   — ``validate_events(PullParser(text))``, the event walk
+  over the object DFAs (the golden reference),
+* ``text``     — ``validate_text``, the turbo walk over the flat integer
+  tables with its restart into the event walk,
 * ``warm``     — a cache-mediated binding (``ReproCache.bind``) driving a
-  streaming validator, the serve tier's shape,
+  streaming validator's ``validate_text``, the serve tier's shape,
 * ``pool``     — a :class:`ValidationPool` worker process (optional),
 * ``lazy``     — a per-subset binding materialised from the sniffed
   instance root (skipped when the root cannot be sniffed).
@@ -56,13 +58,14 @@ def iter_instances(case_dir: str) -> Iterator[tuple[str, str, bool]]:
         yield name, os.path.join(instances, name), expected
 
 
-def _verdict(validator, text: str) -> dict[str, Any]:
-    """The serve-tier verdict shape for one document through one lane."""
+def _verdict(validate, text: str) -> dict[str, Any]:
+    """The serve-tier verdict shape for one document through one lane
+    (*validate* maps a text to its error list)."""
     from repro.errors import XmlSyntaxError
     from repro.xsd.stream import error_entry
 
     try:
-        errors = validator.validate_text(text)
+        errors = validate(text)
     except XmlSyntaxError as error:
         errors = [error]
     return {
@@ -96,6 +99,7 @@ def run_case(
     """
     from repro.cache.manager import ReproCache
     from repro.ingest.pool import ValidationPool
+    from repro.xml.parser import PullParser
     from repro.xsd.schema_parser import parse_schema_file
     from repro.xsd.stream import StreamingValidator
     from repro.xsd.subset import sniff_root_key
@@ -108,10 +112,11 @@ def run_case(
     cache = ReproCache(cache_dir)
     warm_binding = cache.bind(schema_text, location=schema_path)
 
+    golden = StreamingValidator(schema)
     lanes: dict[str, Any] = {
-        "object": StreamingValidator(schema, use_tables=False),
-        "table": StreamingValidator(schema, use_tables=True),
-        "warm": StreamingValidator(warm_binding.schema),
+        "events": lambda text: golden.validate_events(PullParser(text)),
+        "text": StreamingValidator(schema).validate_text,
+        "warm": StreamingValidator(warm_binding.schema).validate_text,
     }
     pool = None
     if use_pool:
@@ -136,8 +141,8 @@ def run_case(
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
             verdicts = {
-                lane: _verdict(validator, text)
-                for lane, validator in lanes.items()
+                lane: _verdict(validate, text)
+                for lane, validate in lanes.items()
             }
             if pool is not None:
                 verdicts["pool"] = pool.submit_text(text).result(timeout=60)
@@ -151,16 +156,16 @@ def run_case(
                     lazy_roots=(root_key,),
                 )
                 verdicts["lazy"] = _verdict(
-                    StreamingValidator(lazy_binding.schema), text
+                    StreamingValidator(lazy_binding.schema).validate_text, text
                 )
-                lazy_identical = verdicts["lazy"] == verdicts["object"]
+                lazy_identical = verdicts["lazy"] == verdicts["events"]
 
             serialized = {
                 lane: json.dumps(verdict, sort_keys=True)
                 for lane, verdict in verdicts.items()
             }
             lanes_identical = len(set(serialized.values())) == 1
-            valid = verdicts["object"]["valid"]
+            valid = verdicts["events"]["valid"]
             dom_agrees = _dom_valid(schema, text) == valid
 
             entry = {
@@ -170,7 +175,7 @@ def run_case(
                 "agreed": valid == expected and dom_agrees,
                 "lanes_identical": lanes_identical,
                 "lazy_identical": lazy_identical,
-                "errors": verdicts["object"]["errors"],
+                "errors": verdicts["events"]["errors"],
             }
             report["instances"].append(entry)
             if not (

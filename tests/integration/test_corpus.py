@@ -69,7 +69,7 @@ def test_cache_round_trip_binds_warm(tmp_path):
     first = ReproCache(tmp_path / "cache")
     cold = first.bind(schema_text, location=schema_path)
     cold_verdict = json.dumps(
-        corpus_runner._verdict(StreamingValidator(cold.schema), text),
+        corpus_runner._verdict(StreamingValidator(cold.schema).validate_text, text),
         sort_keys=True,
     )
     assert first.stats.misses >= 1
@@ -77,7 +77,7 @@ def test_cache_round_trip_binds_warm(tmp_path):
     second = ReproCache(tmp_path / "cache")
     warm = second.bind(schema_text, location=schema_path)
     warm_verdict = json.dumps(
-        corpus_runner._verdict(StreamingValidator(warm.schema), text),
+        corpus_runner._verdict(StreamingValidator(warm.schema).validate_text, text),
         sort_keys=True,
     )
     assert second.stats.hits >= 1

@@ -11,6 +11,7 @@ import pytest
 
 from repro.dom import parse_document
 from repro.errors import SchemaError
+from repro.xml.parser import PullParser
 from repro.xsd import SchemaValidator, StreamingValidator, parse_schema
 
 TNS = "http://example.org/forms"
@@ -40,11 +41,12 @@ def _forms_schema(element_form: str, attribute_form: str = "unqualified"):
 
 
 def _errors(schema, text):
-    """Streaming-lane errors, with table/object parity and DOM validity
-    agreement asserted on the side (the DOM validator words content-model
-    errors differently, so only its verdict is compared)."""
-    streaming = StreamingValidator(schema, use_tables=False).validate_text(text)
-    tables = StreamingValidator(schema, use_tables=True).validate_text(text)
+    """Streaming-lane errors, with event-walk/text-route parity and DOM
+    validity agreement asserted on the side (the DOM validator words
+    content-model errors differently, so only its verdict is compared)."""
+    validator = StreamingValidator(schema)
+    streaming = validator.validate_events(PullParser(text))
+    tables = validator.validate_text(text)
     assert [str(e) for e in streaming] == [str(e) for e in tables]
     dom = SchemaValidator(schema).validate(parse_document(text))
     assert bool(dom) == bool(streaming)
